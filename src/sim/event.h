@@ -14,18 +14,14 @@ namespace dimsum::sim {
 
 /// One scheduled kernel event: a coroutine resumption or a callback. The
 /// (time, seq) pair is a strict total order -- seq is unique per
-/// simulator -- so every queue implementation pops in exactly the same
-/// deterministic order.
+/// simulator -- so the event queue pops in one deterministic order.
 ///
-/// The legacy kernel stored a heap-allocated std::function per callback
-/// and paid a binary-heap sift over the resulting 56-byte entries. Here
-/// an event is one cache line and trivially copyable: queue maintenance
-/// (bucket inserts, heap sifts) lowers to memmove, and callbacks live in
-/// a small inline buffer. Trivially copyable callables up to
-/// kInlineBytes (the kernel's own completion lambdas capture just `this`
-/// or a handle) are stored in the event itself; larger or non-trivial
-/// callables go to one FramePool freelist block -- still never a global
-/// allocation on the hot path.
+/// An event is one cache line and trivially copyable: heap sifts lower
+/// to plain 64-byte moves, and callbacks live in a small inline buffer.
+/// Trivially copyable callables up to kInlineBytes (the kernel's own
+/// completion lambdas capture just `this` or a handle) are stored in the
+/// event itself; larger or non-trivial callables go to one FramePool
+/// freelist block -- still never a global allocation on the hot path.
 ///
 /// Because events are trivially copyable they carry no destructor; the
 /// owning queue calls DestroyPending() on events discarded unexecuted
@@ -35,13 +31,10 @@ struct Event {
   /// Inline callback capacity. Sized so every kernel-internal callback
   /// ([this] or [this, handle] captures) stays inline while the whole
   /// event spans exactly one cache line.
-  static constexpr std::size_t kInlineBytes = 32;
+  static constexpr std::size_t kInlineBytes = 40;
 
   double time = 0.0;
   uint64_t seq = 0;
-  /// floor(time / width) under the calendar queue's current bucket width;
-  /// maintained by CalendarQueue, unused by HeapQueue.
-  uint64_t vbucket = 0;
   /// Null for coroutine events (Dispatch resumes `target`); otherwise the
   /// trampoline invoking the inline or out-of-line callable.
   void (*invoke)(Event&) = nullptr;

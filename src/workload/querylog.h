@@ -11,7 +11,7 @@
 // suitable for line-oriented tooling (tools/tail_report.py). Serialization
 // uses round-trippable number formatting, and records are built from the
 // deterministic simulation outputs only, so a (workload, seed) pair yields
-// a byte-identical log regardless of host threading or event-queue kind.
+// a byte-identical log regardless of host threading.
 
 #include <cstdint>
 #include <string>

@@ -1,5 +1,10 @@
 #include "core/system.h"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
@@ -75,20 +80,22 @@ TEST(ClientServerSystemTest, UtilizationIsCapped) {
   EXPECT_LE(system.ServerDiskUtilization().at(ServerSite(0)), 0.95);
 }
 
+// Replicate runs trials on pool workers, so every trial below records
+// what it saw thread-safely, as the Replicate contract requires.
 TEST(ExperimentTest, ReplicateStopsWhenConverged) {
-  int calls = 0;
+  std::atomic<int> calls{0};
   RunningStat stat = Replicate(
       [&](uint64_t) {
         ++calls;
         return 100.0;  // zero variance: converges at min_replications
       },
       ReplicationOptions{});
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
   EXPECT_EQ(stat.mean(), 100.0);
 }
 
 TEST(ExperimentTest, ReplicateRunsToCapOnNoisyData) {
-  int calls = 0;
+  std::atomic<int> calls{0};
   ReplicationOptions options;
   options.max_replications = 7;
   Replicate(
@@ -97,20 +104,23 @@ TEST(ExperimentTest, ReplicateRunsToCapOnNoisyData) {
         return (seed % 2 == 0) ? 1.0 : 1000.0;  // wildly noisy
       },
       options);
-  EXPECT_EQ(calls, 7);
+  EXPECT_EQ(calls.load(), 7);
 }
 
 TEST(ExperimentTest, SeedsAreSequential) {
+  std::mutex mu;
   std::vector<uint64_t> seeds;
   ReplicationOptions options;
   options.min_replications = 4;
   options.max_replications = 4;
   Replicate(
       [&](uint64_t seed) {
+        std::lock_guard<std::mutex> lock(mu);
         seeds.push_back(seed);
         return 1.0;
       },
       options, /*base_seed=*/100);
+  std::sort(seeds.begin(), seeds.end());  // workers finish in any order
   EXPECT_EQ(seeds, (std::vector<uint64_t>{100, 101, 102, 103}));
 }
 

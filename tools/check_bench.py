@@ -50,9 +50,8 @@ SCHEMAS = {
         "max_op_rel_err",
     }),
     "BENCH_kernel.json": ("dimsum.bench.kernel.v1", {
-        "scenario", "kernel", "events", "wall_ms", "events_per_sec",
-        "speedup_vs_legacy", "peak_queue_depth", "calendar_resizes",
-        "frame_pool_hit_rate",
+        "scenario", "events", "wall_ms", "events_per_sec",
+        "peak_queue_depth", "frame_pool_hit_rate",
     }),
     "BENCH_openloop.json": ("dimsum.bench.openloop.v1", {
         "policy", "arrival", "rate_qps", "clients", "offered_qps",

@@ -36,7 +36,7 @@ FAIL_REL = 0.25
 # (wall-clock). Files absent here are reported but not gated.
 GATES = {
     "BENCH_kernel.json": {
-        "key": ("scenario", "kernel"),
+        "key": ("scenario",),
         "deterministic": [],
         "wallclock": ["events_per_sec"],
     },
