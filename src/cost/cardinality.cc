@@ -14,13 +14,25 @@ int64_t PagesFor(int64_t tuples, int tuple_bytes, int page_bytes) {
   return (tuples + per_page - 1) / per_page;
 }
 
-StreamStats Annotate(const PlanNode& node, const Catalog& catalog,
-                     const QueryGraph& query, const CostParams& params,
-                     PlanStats* stats) {
+/// Appends the subtree rooted at `node` in pre-order.
+void Flatten(const PlanNode& node, FlatPlan* flat) {
+  const int index = flat->num_nodes();
+  flat->nodes.push_back(&node);
+  flat->size.push_back(0);
+  flat->first_scan.push_back(static_cast<int>(flat->scans.size()));
+  if (node.type == OpType::kScan) flat->scans.push_back(node.relation);
+  if (node.left) Flatten(*node.left, flat);
+  if (node.right) Flatten(*node.right, flat);
+  flat->size[index] = flat->num_nodes() - index;
+}
+
+/// Output statistics of index `i`; its children's are already final.
+StreamStats Derive(const FlatPlan& flat, int i, const Catalog& catalog,
+                   const QueryGraph& query, const CostParams& params) {
+  const PlanNode& node = *flat.nodes[i];
   StreamStats out;
   switch (node.type) {
     case OpType::kScan: {
-      const Relation& rel = catalog.relation(node.relation);
       // Shard fragments and key-restricted scans emit the slice the
       // catalog computes; a default scan (shard -1, key [0,1)) emits the
       // whole relation.
@@ -28,11 +40,11 @@ StreamStats Annotate(const PlanNode& node, const Catalog& catalog,
                        .ScanExtent(node.relation, node.shard, node.key_lo,
                                    node.key_hi, params.page_bytes)
                        .tuples;
-      out.tuple_bytes = rel.tuple_bytes;
+      out.tuple_bytes = catalog.relation(node.relation).tuple_bytes;
       break;
     }
     case OpType::kSelect: {
-      StreamStats in = Annotate(*node.left, catalog, query, params, stats);
+      const StreamStats& in = flat.stats[flat.Left(i)];
       // llround, not truncation: 0.7 * 10000 tuples must estimate 7000,
       // not lose a tuple to floating-point representation error.
       out.tuples = std::llround(node.selectivity *
@@ -41,7 +53,7 @@ StreamStats Annotate(const PlanNode& node, const Catalog& catalog,
       break;
     }
     case OpType::kProject: {
-      StreamStats in = Annotate(*node.left, catalog, query, params, stats);
+      const StreamStats& in = flat.stats[flat.Left(i)];
       out.tuples = in.tuples;
       out.tuple_bytes = std::max(
           1, static_cast<int>(std::llround(
@@ -49,28 +61,27 @@ StreamStats Annotate(const PlanNode& node, const Catalog& catalog,
       break;
     }
     case OpType::kAggregate: {
-      StreamStats in = Annotate(*node.left, catalog, query, params, stats);
+      const StreamStats& in = flat.stats[flat.Left(i)];
       out.tuples = std::min(node.num_groups, in.tuples);
       out.tuple_bytes = in.tuple_bytes;
       break;
     }
-    case OpType::kSort: {
-      out = Annotate(*node.left, catalog, query, params, stats);
+    case OpType::kSort:
+    case OpType::kDisplay:
+      out = flat.stats[flat.Left(i)];
       break;
-    }
     case OpType::kUnion: {
-      StreamStats l = Annotate(*node.left, catalog, query, params, stats);
-      StreamStats r = Annotate(*node.right, catalog, query, params, stats);
+      const StreamStats& l = flat.stats[flat.Left(i)];
+      const StreamStats& r = flat.stats[flat.Right(i)];
       out.tuples = l.tuples + r.tuples;
       out.tuple_bytes = std::max(l.tuple_bytes, r.tuple_bytes);
       break;
     }
     case OpType::kJoin: {
-      StreamStats l = Annotate(*node.left, catalog, query, params, stats);
-      StreamStats r = Annotate(*node.right, catalog, query, params, stats);
-      const auto left_rels = Plan::RelationsBelow(*node.left);
-      const auto right_rels = Plan::RelationsBelow(*node.right);
-      if (query.Connects(left_rels, right_rels)) {
+      const StreamStats& l = flat.stats[flat.Left(i)];
+      const StreamStats& r = flat.stats[flat.Right(i)];
+      if (query.Connects(flat.ScansBelow(flat.Left(i)),
+                         flat.ScansBelow(flat.Right(i)))) {
         out.tuples = std::llround(
             query.selectivity_factor *
             static_cast<double>(std::min(l.tuples, r.tuples)));
@@ -80,24 +91,41 @@ StreamStats Annotate(const PlanNode& node, const Catalog& catalog,
       out.tuple_bytes = std::max(l.tuple_bytes, r.tuple_bytes);
       break;
     }
-    case OpType::kDisplay: {
-      out = Annotate(*node.left, catalog, query, params, stats);
-      break;
-    }
   }
   DIMSUM_CHECK_GT(out.tuple_bytes, 0);
   out.pages = PagesFor(out.tuples, out.tuple_bytes, params.page_bytes);
-  (*stats)[&node] = out;
   return out;
 }
 
 }  // namespace
 
+void BuildFlatPlan(const Plan& plan, const Catalog& catalog,
+                   const QueryGraph& query, const CostParams& params,
+                   FlatPlan* flat) {
+  DIMSUM_CHECK(!plan.empty());
+  flat->nodes.clear();
+  flat->size.clear();
+  flat->scans.clear();
+  flat->first_scan.clear();
+  Flatten(*plan.root(), flat);
+  flat->first_scan.push_back(static_cast<int>(flat->scans.size()));
+  // Children follow their parent in pre-order, so a reverse sweep sees
+  // every input before the operator consuming it.
+  flat->stats.resize(flat->nodes.size());
+  for (int i = flat->num_nodes() - 1; i >= 0; --i) {
+    flat->stats[i] = Derive(*flat, i, catalog, query, params);
+  }
+}
+
 PlanStats ComputeStats(const Plan& plan, const Catalog& catalog,
                        const QueryGraph& query, const CostParams& params) {
-  DIMSUM_CHECK(!plan.empty());
+  FlatPlan flat;
+  BuildFlatPlan(plan, catalog, query, params, &flat);
   PlanStats stats;
-  Annotate(*plan.root(), catalog, query, params, &stats);
+  stats.reserve(flat.nodes.size());
+  for (int i = 0; i < flat.num_nodes(); ++i) {
+    stats.emplace(flat.nodes[i], flat.stats[i]);
+  }
   return stats;
 }
 

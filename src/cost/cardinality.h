@@ -2,7 +2,9 @@
 #define DIMSUM_COST_CARDINALITY_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "cost/params.h"
@@ -18,10 +20,33 @@ struct StreamStats {
   int64_t pages = 0;
 };
 
-/// Per-node output statistics keyed by node pointer.
-using PlanStats = std::unordered_map<const PlanNode*, StreamStats>;
+/// Pre-order flat view of a plan with every node's output statistics.
+/// Index 0 is the root; node i's subtree occupies [i, i + size[i]), so its
+/// left child is i + 1 and its right child i + 1 + size[i + 1]. The scans
+/// of a subtree are a contiguous run of `scans` (pre-order), so join
+/// selectivity reads a subtree's relations without collecting them.
+///
+/// Rebuilding a FlatPlan reuses its vectors' capacity, so a long-lived
+/// instance costs plan after plan without allocating.
+struct FlatPlan {
+  std::vector<const PlanNode*> nodes;
+  std::vector<int> size;           // subtree size per index
+  std::vector<StreamStats> stats;  // output statistics per index
+  std::vector<RelationId> scans;   // scanned relations, pre-order
+  std::vector<int> first_scan;     // per index (and one past the end)
 
-/// Derives output cardinalities bottom-up:
+  int num_nodes() const { return static_cast<int>(nodes.size()); }
+  int Left(int i) const { return i + 1; }
+  int Right(int i) const { return i + 1 + size[i + 1]; }
+  /// Relations scanned in the subtree rooted at index `i`, pre-order.
+  std::span<const RelationId> ScansBelow(int i) const {
+    const int begin = first_scan[i];
+    const int end = first_scan[i + size[i]];
+    return std::span<const RelationId>(scans).subspan(begin, end - begin);
+  }
+};
+
+/// Flattens `plan` into `flat` and derives output cardinalities bottom-up:
 ///  - scan: the relation's tuples;
 ///  - select: selectivity * input;
 ///  - join: query.selectivity_factor * min(left, right) tuples (the paper's
@@ -32,7 +57,17 @@ using PlanStats = std::unordered_map<const PlanNode*, StreamStats>;
 ///  - union: sum of the inputs (bag union);
 ///  - display: passes through.
 /// Join results are projected to the max input tuple width (the paper
-/// projects all temporaries back to 100 bytes).
+/// projects all temporaries back to 100 bytes). This is the one
+/// implementation of the formulas; the coster reads the flat view directly.
+void BuildFlatPlan(const Plan& plan, const Catalog& catalog,
+                   const QueryGraph& query, const CostParams& params,
+                   FlatPlan* flat);
+
+/// Per-node output statistics keyed by node pointer.
+using PlanStats = std::unordered_map<const PlanNode*, StreamStats>;
+
+/// The statistics of BuildFlatPlan keyed by node, for callers that walk
+/// the plan tree (executor, communication cost, result cache).
 PlanStats ComputeStats(const Plan& plan, const Catalog& catalog,
                        const QueryGraph& query, const CostParams& params);
 

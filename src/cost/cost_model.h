@@ -38,7 +38,9 @@ class CostModel {
             std::map<SiteId, double> server_disk_load = {})
       : catalog_(catalog),
         params_(params),
-        server_disk_load_(std::move(server_disk_load)) {}
+        server_disk_load_(std::move(server_disk_load)) {
+    CheckCostInputs(params_, server_disk_load_);
+  }
 
   /// Cost of `plan` for `query` under `metric`. Binds sites in place.
   /// Plans with logical scans of sharded relations are costed through

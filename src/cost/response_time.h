@@ -39,7 +39,8 @@ struct TimeEstimate {
 ///
 /// `server_disk_load` gives external disk utilization per site (from the
 /// paper's multi-client load generator); disk demands at a site are
-/// inflated by 1/(1 - utilization).
+/// inflated by 1/(1 - utilization). Both it and `params.site_mips` are
+/// validated up front (see CheckCostInputs).
 ///
 /// When `explain` is non-null it is overwritten with per-operator /
 /// per-phase / per-site estimate records (see cost/explain.h). Collection
@@ -49,6 +50,13 @@ TimeEstimate EstimateTime(const Plan& plan, const Catalog& catalog,
                           const QueryGraph& query, const CostParams& params,
                           const std::map<SiteId, double>& server_disk_load = {},
                           PlanEstimate* explain = nullptr);
+
+/// Check-fails unless every `server_disk_load` utilization is finite and
+/// in [0, 1) and every `params.site_mips` override is finite and positive
+/// (a negative load would shrink disk demand, a zero speed make CPU time
+/// infinite).
+void CheckCostInputs(const CostParams& params,
+                     const std::map<SiteId, double>& server_disk_load);
 
 }  // namespace dimsum
 

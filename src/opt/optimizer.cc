@@ -20,6 +20,30 @@ constexpr double kUnavailableSitePenalty = 1e15;
 
 }  // namespace
 
+TwoPhaseOptimizer::TwoPhaseOptimizer(const CostModel& model,
+                                     const OptimizerConfig& config)
+    : model_(model), config_(config) {
+  // Annealing stops only once the temperature decays below the freeze
+  // threshold, and both II and SiteSelect read the first start's outcome.
+  DIMSUM_CHECK(config.sa_temp_decay > 0.0 && config.sa_temp_decay < 1.0)
+      << "sa_temp_decay is " << config.sa_temp_decay
+      << "; it must lie in (0, 1) for annealing to freeze";
+  DIMSUM_CHECK(std::isfinite(config.sa_initial_temp_factor) &&
+               config.sa_initial_temp_factor > 0.0)
+      << "sa_initial_temp_factor is " << config.sa_initial_temp_factor
+      << "; it must be finite and positive";
+  DIMSUM_CHECK(config.sa_freeze_temp_ratio > 0.0 &&
+               config.sa_freeze_temp_ratio < 1.0)
+      << "sa_freeze_temp_ratio is " << config.sa_freeze_temp_ratio
+      << "; it must lie in (0, 1)";
+  DIMSUM_CHECK_GE(config.ii_starts, 1) << "ii_starts must be at least 1";
+  DIMSUM_CHECK_GE(config.ii_patience, 0) << "ii_patience must be >= 0";
+  DIMSUM_CHECK_GE(config.sa_freeze_stages, 0)
+      << "sa_freeze_stages must be >= 0";
+  DIMSUM_CHECK_GE(config.sa_stage_moves_per_join, 0)
+      << "sa_stage_moves_per_join must be >= 0";
+}
+
 double TwoPhaseOptimizer::UnavailablePenalty(const Plan& plan,
                                              const QueryGraph& query) const {
   Plan bound = plan.Clone();

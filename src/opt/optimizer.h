@@ -154,8 +154,11 @@ struct OptimizeResult {
 /// all counters — is bit-identical for any thread count.
 class TwoPhaseOptimizer {
  public:
-  TwoPhaseOptimizer(const CostModel& model, const OptimizerConfig& config)
-      : model_(model), config_(config) {}
+  /// Check-fails on a configuration the search cannot finish under:
+  /// 0 < sa_temp_decay < 1, a finite positive sa_initial_temp_factor,
+  /// 0 < sa_freeze_temp_ratio < 1, ii_starts >= 1, and non-negative
+  /// ii_patience, sa_freeze_stages and sa_stage_moves_per_join.
+  TwoPhaseOptimizer(const CostModel& model, const OptimizerConfig& config);
 
   /// Full optimization: join ordering and site selection.
   OptimizeResult Optimize(const QueryGraph& query, Rng& rng) const;

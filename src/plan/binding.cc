@@ -9,65 +9,46 @@
 namespace dimsum {
 namespace {
 
-/// One resolution pass; returns the number of nodes newly bound.
-/// `parent_site` is the (possibly still unbound) site of the parent.
-int ResolvePass(PlanNode& node, SiteId parent_site, const Catalog& catalog,
-                SiteId client) {
-  int bound = 0;
-  if (node.bound_site == kUnboundSite) {
-    if (node.type == OpType::kDisplay) {
+/// Binds the subtree rooted at `node`. `parent_site` is the parent's site,
+/// or kUnboundSite while the parent waits on this node: a node whose
+/// annotation points at a child binds that child first and takes its site,
+/// then binds its other children under that site. Well-formedness rules
+/// out a child pointing back at such a parent, so one pass binds every
+/// node.
+void BindNode(PlanNode& node, SiteId parent_site, const Catalog& catalog,
+              SiteId client) {
+  PlanNode* source = nullptr;  // child whose site this node takes
+  if (node.type == OpType::kDisplay) {
+    node.bound_site = client;
+  } else if (node.type == OpType::kScan) {
+    if (node.annotation == SiteAnnotation::kClient) {
       node.bound_site = client;
-      ++bound;
-    } else if (node.type == OpType::kScan) {
-      if (node.annotation == SiteAnnotation::kClient) {
-        node.bound_site = client;
-      } else if (catalog.sharded(node.relation)) {
-        // Shard fragments bind to their shard's serving copy. A logical
-        // (shard < 0) scan binds to shard 0's site as a representative so
-        // the optimizer can bind-and-cost unexpanded plans; ExpandShards
-        // assigns the real per-shard sites before execution.
-        node.bound_site = catalog.ShardSite(
-            node.relation, node.shard >= 0 ? node.shard : 0, node.replica);
-      } else {
-        node.bound_site = catalog.ReplicaSite(node.relation, node.replica);
-      }
-      ++bound;
-    } else if (IsUnaryOp(node.type)) {
-      if (node.annotation == SiteAnnotation::kConsumer) {
-        if (parent_site != kUnboundSite) {
-          node.bound_site = parent_site;
-          ++bound;
-        }
-      } else {  // producer
-        if (node.left->bound_site != kUnboundSite) {
-          node.bound_site = node.left->bound_site;
-          ++bound;
-        }
-      }
-    } else {  // binary operators (join, union)
-      if (node.annotation == SiteAnnotation::kConsumer) {
-        if (parent_site != kUnboundSite) {
-          node.bound_site = parent_site;
-          ++bound;
-        }
-      } else if (node.annotation == SiteAnnotation::kInnerRel) {
-        if (node.left->bound_site != kUnboundSite) {
-          node.bound_site = node.left->bound_site;
-          ++bound;
-        }
-      } else {  // outer relation
-        if (node.right->bound_site != kUnboundSite) {
-          node.bound_site = node.right->bound_site;
-          ++bound;
-        }
-      }
+    } else if (catalog.sharded(node.relation)) {
+      // Shard fragments bind to their shard's serving copy. A logical
+      // (shard < 0) scan binds to shard 0's site as a representative so
+      // the optimizer can bind-and-cost unexpanded plans; ExpandShards
+      // assigns the real per-shard sites before execution.
+      node.bound_site = catalog.ShardSite(
+          node.relation, node.shard >= 0 ? node.shard : 0, node.replica);
+    } else {
+      node.bound_site = catalog.ReplicaSite(node.relation, node.replica);
+    }
+  } else if (node.annotation == SiteAnnotation::kConsumer) {
+    node.bound_site = parent_site;
+  } else {
+    // Producer (unary), inner relation or outer relation (binary).
+    source = IsUnaryOp(node.type) ||
+                     node.annotation == SiteAnnotation::kInnerRel
+                 ? node.left.get()
+                 : node.right.get();
+    BindNode(*source, kUnboundSite, catalog, client);
+    node.bound_site = source->bound_site;
+  }
+  for (PlanNode* child : {node.left.get(), node.right.get()}) {
+    if (child != nullptr && child != source) {
+      BindNode(*child, node.bound_site, catalog, client);
     }
   }
-  if (node.left) bound += ResolvePass(*node.left, node.bound_site, catalog, client);
-  if (node.right) {
-    bound += ResolvePass(*node.right, node.bound_site, catalog, client);
-  }
-  return bound;
 }
 
 }  // namespace
@@ -78,14 +59,9 @@ void BindSites(Plan& plan, const Catalog& catalog, SiteId client) {
   DIMSUM_CHECK(catalog.IsClientSite(client))
       << "home client " << client << " is not a client site (catalog has "
       << catalog.num_clients() << " clients)";
-  ClearBinding(plan);
-  // Each pass binds at least one node of any unresolved chain (the chains
-  // are acyclic by well-formedness), so at most Size() passes are needed.
-  const int size = plan.Size();
-  for (int pass = 0; pass < size; ++pass) {
-    if (ResolvePass(*plan.root(), kUnboundSite, catalog, client) == 0) break;
-  }
-  DIMSUM_CHECK(IsFullyBound(plan)) << "binding did not reach a fixpoint";
+  // Every node is (re)assigned, so no earlier binding survives.
+  BindNode(*plan.root(), kUnboundSite, catalog, client);
+  DIMSUM_CHECK(IsFullyBound(plan)) << "binding left a node unbound";
 }
 
 bool IsFullyBound(const Plan& plan) {

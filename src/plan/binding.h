@@ -10,8 +10,9 @@ namespace dimsum {
 
 /// Binds the logical site annotations of `plan` to physical sites
 /// (Section 2.1): the display and scan locations are resolved first
-/// (client / primary copy / client cache), then consumer, inner-relation,
-/// outer-relation and producer annotations are propagated to a fixpoint.
+/// (client / primary copy / client cache), and consumer, inner-relation,
+/// outer-relation and producer annotations take the site they point at,
+/// in one pass over the tree.
 ///
 /// Requires a structurally valid, well-formed plan; checks-fails otherwise.
 /// Sets PlanNode::bound_site on every node.

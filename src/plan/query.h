@@ -2,6 +2,7 @@
 #define DIMSUM_PLAN_QUERY_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,8 +46,8 @@ struct QueryGraph {
 
   /// True if some join predicate connects a relation in `left` with a
   /// relation in `right` (i.e., joining them is not a Cartesian product).
-  bool Connects(const std::vector<RelationId>& left,
-                const std::vector<RelationId>& right) const {
+  bool Connects(std::span<const RelationId> left,
+                std::span<const RelationId> right) const {
     for (RelationId a : left) {
       for (RelationId b : right) {
         if (HasEdge(a, b)) return true;

@@ -1,6 +1,8 @@
 #include "plan/validate.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "common/check.h"
 
@@ -70,37 +72,34 @@ bool WellFormedNode(const PlanNode& node) {
   return true;
 }
 
-bool NoCartesianProducts(const PlanNode& node, const QueryGraph& query) {
-  if (node.type == OpType::kJoin) {
-    const auto left = Plan::RelationsBelow(*node.left);
-    const auto right = Plan::RelationsBelow(*node.right);
-    if (!query.Connects(left, right)) return false;
+/// Appends the relations scanned below `node` to `scanned` in pre-order,
+/// so every subtree's relations are one contiguous run of the buffer. When
+/// `connected` is non-null it is cleared if some join's two runs are not
+/// connected by a predicate of `query` (a Cartesian product).
+void CollectScans(const PlanNode& node, const QueryGraph& query,
+                  std::vector<RelationId>* scanned, bool* connected) {
+  if (node.type == OpType::kScan) scanned->push_back(node.relation);
+  const std::size_t begin = scanned->size();
+  if (node.left) CollectScans(*node.left, query, scanned, connected);
+  const std::size_t middle = scanned->size();
+  if (node.right) CollectScans(*node.right, query, scanned, connected);
+  if (connected != nullptr && *connected && node.type == OpType::kJoin) {
+    const std::span<const RelationId> all(*scanned);
+    *connected = query.Connects(all.subspan(begin, middle - begin),
+                                all.subspan(middle));
   }
-  bool ok = true;
-  if (node.left) ok &= NoCartesianProducts(*node.left, query);
-  if (node.right) ok &= NoCartesianProducts(*node.right, query);
-  return ok;
 }
 
-bool LinearNode(const PlanNode& node) {
-  if (node.type == OpType::kJoin) {
-    const auto has_join = [](const PlanNode& sub) {
-      bool found = false;
-      const std::function<void(const PlanNode&)> visit =
-          [&](const PlanNode& n) {
-            if (n.type == OpType::kJoin) found = true;
-            if (n.left) visit(*n.left);
-            if (n.right) visit(*n.right);
-          };
-      visit(sub);
-      return found;
-    };
-    if (has_join(*node.left) && has_join(*node.right)) return false;
-  }
-  bool ok = true;
-  if (node.left) ok &= LinearNode(*node.left);
-  if (node.right) ok &= LinearNode(*node.right);
-  return ok;
+/// True if no join below `node` (inclusive) has joins on both sides; sets
+/// `*has_join` to whether the subtree contains a join.
+bool LinearNode(const PlanNode& node, bool* has_join) {
+  bool left_join = false;
+  bool right_join = false;
+  if (node.left && !LinearNode(*node.left, &left_join)) return false;
+  if (node.right && !LinearNode(*node.right, &right_join)) return false;
+  const bool is_join = node.type == OpType::kJoin;
+  *has_join = is_join || left_join || right_join;
+  return !(is_join && left_join && right_join);
 }
 
 }  // namespace
@@ -127,21 +126,28 @@ bool InPolicySpace(const Plan& plan, const PolicySpace& space) {
 bool MatchesQuery(const Plan& plan, const QueryGraph& query,
                   bool allow_cartesian) {
   if (plan.empty()) return false;
+  // One pass collects the scanned relations and, at every join, checks
+  // that its two subtrees' runs are connected. The buffers are reused, so
+  // the move-legality check allocates nothing in steady state.
+  thread_local std::vector<RelationId> scanned;
+  thread_local std::vector<RelationId> expected;
+  scanned.clear();
+  bool connected = true;
+  CollectScans(*plan.root(), query, &scanned,
+               allow_cartesian ? nullptr : &connected);
+  if (!connected) return false;
   // The plan must scan each query relation exactly once.
-  std::vector<RelationId> scanned = Plan::RelationsBelow(*plan.root());
-  std::vector<RelationId> expected = query.relations;
+  if (scanned.size() != query.relations.size()) return false;
+  expected.assign(query.relations.begin(), query.relations.end());
   std::sort(scanned.begin(), scanned.end());
   std::sort(expected.begin(), expected.end());
-  if (scanned != expected) return false;
-  if (!allow_cartesian && !NoCartesianProducts(*plan.root(), query)) {
-    return false;
-  }
-  return true;
+  return scanned == expected;
 }
 
 bool IsLinear(const Plan& plan) {
   DIMSUM_CHECK(!plan.empty());
-  return LinearNode(*plan.root());
+  bool has_join = false;
+  return LinearNode(*plan.root(), &has_join);
 }
 
 }  // namespace dimsum

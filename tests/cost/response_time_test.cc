@@ -1,5 +1,8 @@
 #include "cost/response_time.h"
 
+#include <limits>
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.h"
@@ -171,6 +174,64 @@ TEST(CostModelTest, BindsPlanAsSideEffect) {
   Plan plan = TwoWayPlan(SiteAnnotation::kClient, SiteAnnotation::kConsumer);
   model.PlanCost(plan, query, OptimizeMetric::kPagesSent);
   EXPECT_TRUE(IsFullyBound(plan));
+}
+
+// Cost inputs are validated once, up front: by the CostModel constructor
+// and at the top of EstimateTime, not lazily per disk charge.
+TEST(CostInputsDeathTest, ServerDiskLoadMustLieInZeroToOne) {
+  Catalog catalog = PaperCatalog(2, 1);
+  QueryGraph query = QueryGraph::Chain({0, 1});
+  Plan plan = TwoWayPlan(SiteAnnotation::kPrimaryCopy,
+                         SiteAnnotation::kInnerRel);
+  BindSites(plan, catalog);
+  for (const double load :
+       {-0.1, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    const std::map<SiteId, double> loads{{ServerSite(0), load}};
+    EXPECT_DEATH(CostModel(catalog, CostParams{}, loads),
+                 "utilization must lie in \\[0, 1\\)")
+        << load;
+    EXPECT_DEATH(EstimateTime(plan, catalog, query, CostParams{}, loads),
+                 "utilization must lie in \\[0, 1\\)")
+        << load;
+  }
+  // A load on a site the plan never charges is still rejected.
+  const std::map<SiteId, double> unused{{ServerSite(5), -0.5}};
+  EXPECT_DEATH(EstimateTime(plan, catalog, query, CostParams{}, unused),
+               "site 6");
+}
+
+TEST(CostInputsDeathTest, SiteMipsMustBeFiniteAndPositive) {
+  Catalog catalog = PaperCatalog(2, 1);
+  QueryGraph query = QueryGraph::Chain({0, 1});
+  Plan plan = TwoWayPlan(SiteAnnotation::kClient, SiteAnnotation::kConsumer);
+  BindSites(plan, catalog);
+  for (const double mips :
+       {0.0, -50.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    CostParams params;
+    params.site_mips[kClientSite] = mips;
+    EXPECT_DEATH(CostModel(catalog, params),
+                 "CPU speed must be finite and positive")
+        << mips;
+    EXPECT_DEATH(EstimateTime(plan, catalog, query, params),
+                 "CPU speed must be finite and positive")
+        << mips;
+  }
+}
+
+TEST(CostInputsTest, BoundaryValuesAreAccepted) {
+  Catalog catalog = PaperCatalog(2, 1);
+  QueryGraph query = QueryGraph::Chain({0, 1});
+  Plan plan = TwoWayPlan(SiteAnnotation::kPrimaryCopy,
+                         SiteAnnotation::kInnerRel);
+  BindSites(plan, catalog);
+  CostParams params;
+  params.site_mips[ServerSite(0)] = 1e-3;
+  const std::map<SiteId, double> idle{{ServerSite(0), 0.0}};
+  const TimeEstimate base = EstimateTime(plan, catalog, query, CostParams{});
+  const TimeEstimate slow = EstimateTime(plan, catalog, query, params, idle);
+  EXPECT_GT(slow.response_ms, base.response_ms);
 }
 
 }  // namespace

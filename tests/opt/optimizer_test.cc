@@ -1,5 +1,7 @@
 #include "opt/optimizer.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "plan/binding.h"
@@ -161,6 +163,86 @@ TEST(OptimizerTest, QueryShippingIgnoresClientCache) {
     costs[i++] = optimizer.Optimize(query, rng).cost;
   }
   EXPECT_EQ(costs[0], costs[1]);
+}
+
+// A configuration the search cannot finish under is rejected when the
+// optimizer is built, before any search runs.
+class OptimizerConfigDeathTest : public ::testing::Test {
+ protected:
+  void ExpectRejected(OptimizerConfig config, const char* message) {
+    EXPECT_DEATH(TwoPhaseOptimizer(model_, config), message);
+  }
+  Catalog catalog_ = PaperCatalog(2, 1);
+  CostModel model_{catalog_, CostParams{}};
+};
+
+TEST_F(OptimizerConfigDeathTest, TempDecayMustLieInZeroToOne) {
+  for (const double decay : {1.0, 1.5, 0.0, -0.5,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    OptimizerConfig config;
+    config.sa_temp_decay = decay;
+    ExpectRejected(config, "sa_temp_decay");
+  }
+}
+
+TEST_F(OptimizerConfigDeathTest, InitialTempFactorMustBeFinitePositive) {
+  for (const double factor : {0.0, -0.1,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    OptimizerConfig config;
+    config.sa_initial_temp_factor = factor;
+    ExpectRejected(config, "sa_initial_temp_factor");
+  }
+}
+
+TEST_F(OptimizerConfigDeathTest, FreezeTempRatioMustLieInZeroToOne) {
+  for (const double ratio : {0.0, 1.0, 2.0, -0.01}) {
+    OptimizerConfig config;
+    config.sa_freeze_temp_ratio = ratio;
+    ExpectRejected(config, "sa_freeze_temp_ratio");
+  }
+}
+
+TEST_F(OptimizerConfigDeathTest, AtLeastOneIterativeImprovementStart) {
+  for (const int starts : {0, -1}) {
+    OptimizerConfig config;
+    config.ii_starts = starts;
+    ExpectRejected(config, "ii_starts");
+  }
+}
+
+TEST_F(OptimizerConfigDeathTest, PatienceMustBeNonNegative) {
+  OptimizerConfig config;
+  config.ii_patience = -1;
+  ExpectRejected(config, "ii_patience");
+}
+
+TEST_F(OptimizerConfigDeathTest, FreezeStagesMustBeNonNegative) {
+  OptimizerConfig config;
+  config.sa_freeze_stages = -1;
+  ExpectRejected(config, "sa_freeze_stages");
+}
+
+TEST_F(OptimizerConfigDeathTest, StageMovesMustBeNonNegative) {
+  OptimizerConfig config;
+  config.sa_stage_moves_per_join = -1;
+  ExpectRejected(config, "sa_stage_moves_per_join");
+}
+
+TEST(OptimizerConfigTest, ZeroPatienceAndStagesStillFinish) {
+  Catalog catalog = PaperCatalog(3, 2);
+  CostModel model(catalog, CostParams{});
+  OptimizerConfig config = FastConfig(ShippingPolicy::kHybridShipping,
+                                      OptimizeMetric::kResponseTime);
+  config.ii_starts = 1;
+  config.ii_patience = 0;
+  config.sa_freeze_stages = 0;
+  config.sa_stage_moves_per_join = 0;
+  TwoPhaseOptimizer optimizer(model, config);
+  Rng rng(5);
+  const OptimizeResult result = optimizer.Optimize(ChainQuery(3), rng);
+  EXPECT_TRUE(IsFullyBound(result.plan));
+  EXPECT_GT(result.cost, 0.0);
 }
 
 }  // namespace

@@ -120,6 +120,30 @@ TEST(ValidateTest, MatchesQueryDetectsCartesianProduct) {
   EXPECT_TRUE(MatchesQuery(plan, chain, /*allow_cartesian=*/true));
 }
 
+TEST(ValidateTest, MatchesQueryChecksEachJoinAgainstItsOwnInputs) {
+  // Chain R0 - R1 - R2 - R3. Joining R0 with (R2 join R3) is a Cartesian
+  // product even though each side is internally connected; joining
+  // (R0 join R1) with (R2 join R3) is not.
+  QueryGraph chain = QueryGraph::Chain({0, 1, 2, 3});
+  const auto scan = [](RelationId r) {
+    return MakeScan(r, SiteAnnotation::kClient);
+  };
+  const auto join = [](std::unique_ptr<PlanNode> l,
+                       std::unique_ptr<PlanNode> r) {
+    return MakeJoin(std::move(l), std::move(r), SiteAnnotation::kConsumer);
+  };
+  Plan cross_right(MakeDisplay(
+      join(join(scan(0), join(scan(2), scan(3))), scan(1))));
+  Plan cross_left(MakeDisplay(
+      join(join(join(scan(2), scan(3)), scan(0)), scan(1))));
+  Plan bushy(
+      MakeDisplay(join(join(scan(0), scan(1)), join(scan(2), scan(3)))));
+  EXPECT_FALSE(MatchesQuery(cross_right, chain));
+  EXPECT_FALSE(MatchesQuery(cross_left, chain));
+  EXPECT_TRUE(MatchesQuery(bushy, chain));
+  EXPECT_TRUE(MatchesQuery(cross_right, chain, /*allow_cartesian=*/true));
+}
+
 TEST(ValidateTest, MatchesQueryRequiresExactRelationSet) {
   QueryGraph chain = QueryGraph::Chain({0, 1, 2});
   Plan two_way = TwoWayDataShippingPlan();  // scans only R0, R1
