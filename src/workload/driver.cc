@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -32,31 +35,60 @@ const char* ToString(ReplicaPolicy policy) {
   DIMSUM_UNREACHABLE();
 }
 
+// ---------------------------------------------------------------------------
+// Run core: validation, the session, replica balancing, per-ticket
+// bookkeeping, the submit/await/complete step and every post-run fold.
+// The closed and open loops below are arrival sources over it.
+// ---------------------------------------------------------------------------
+
 namespace {
 
-/// Memoizes plan signature hashes and server fan-outs per submitted plan
-/// while building query-log records (plans repeat across tickets).
-class PlanLogCache {
+/// Rejects a timing that is NaN, infinite or negative, naming the field:
+/// an infinite mean turns exponential draws into NaN delays deep in the
+/// kernel, and a negative one fails there too.
+void CheckNonNegative(double value, const char* field) {
+  DIMSUM_CHECK(std::isfinite(value) && value >= 0.0)
+      << field << " must be finite and >= 0, got " << value;
+}
+
+/// As CheckNonNegative, but zero is rejected too. An infinite arrival
+/// window or rate would never let the arrival generator return.
+void CheckPositive(double value, const char* field) {
+  DIMSUM_CHECK(std::isfinite(value) && value > 0.0)
+      << field << " must be finite and > 0, got " << value;
+}
+
+/// Per-plan facts a run derives once and reuses across tickets. Keyed by
+/// address, so every plan looked up here must outlive the run.
+class PlanCache {
  public:
-  PlanLogCache(const Catalog& catalog, int page_bytes)
+  struct Facts {
+    /// Server sites the plan touches: replica balancing, crash detection
+    /// and the query-log fan-out.
+    std::vector<SiteId> server_sites;
+    /// Per-operator sites for bottleneck attribution.
+    std::vector<SiteId> operator_sites;
+    /// Query-log plan signature hash.
+    uint64_t signature = 0;
+  };
+
+  PlanCache(const Catalog& catalog, int page_bytes)
       : catalog_(catalog), page_bytes_(page_bytes) {}
 
-  uint64_t Signature(const Plan& plan) {
-    auto [it, inserted] = signatures_.try_emplace(&plan, 0);
-    if (inserted) it->second = HashPlanSignature(PlanSignature(plan));
-    return it->second;
-  }
-  const std::vector<SiteId>& Fanout(const Plan& plan) {
-    auto [it, inserted] = fanouts_.try_emplace(&plan);
-    if (inserted) it->second = BoundServerSites(plan, catalog_, page_bytes_);
+  const Facts& Get(const Plan& plan) {
+    auto [it, inserted] = facts_.try_emplace(&plan);
+    if (inserted) {
+      it->second = Facts{BoundServerSites(plan, catalog_, page_bytes_),
+                         OperatorSites(plan),
+                         HashPlanSignature(PlanSignature(plan))};
+    }
     return it->second;
   }
 
  private:
   const Catalog& catalog_;
   const int page_bytes_;
-  std::map<const Plan*, uint64_t> signatures_;
-  std::map<const Plan*, std::vector<SiteId>> fanouts_;
+  std::unordered_map<const Plan*, Facts> facts_;
 };
 
 /// Folds a query's per-operator elapsed totals into its record.
@@ -69,11 +101,15 @@ void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
   }
 }
 
-/// Submission-time replica selection shared by both drivers. Constructed
-/// only when a balancing policy is requested *and* the catalog holds
-/// multiple copies of something (whole-relation replicas or shard copies);
-/// single-copy or kFirstCopy runs never instantiate it, so their event and
-/// allocation sequences are untouched.
+double HalfWidth90(const RunningStat& stat) {
+  return stat.count() >= 2 ? stat.ConfidenceHalfWidth90() : 0.0;
+}
+
+/// Submission-time replica selection. Constructed only when a balancing
+/// policy is requested *and* the catalog holds multiple copies of
+/// something (whole-relation replicas or shard copies); single-copy or
+/// kFirstCopy runs never instantiate it, so their event and allocation
+/// sequences are untouched.
 ///
 /// Balanced submissions are cached clones of the client's plan with each
 /// multi-copy scan re-pointed at the chosen replica and the clone re-bound
@@ -85,10 +121,10 @@ void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
 class ReplicaBalancer {
  public:
   ReplicaBalancer(const Catalog& catalog, ReplicaPolicy policy,
-                  int page_bytes, int num_sites)
+                  PlanCache& plans, int num_sites)
       : catalog_(catalog),
         policy_(policy),
-        page_bytes_(page_bytes),
+        plans_(plans),
         round_robin_(static_cast<std::size_t>(catalog.num_relations()), 0),
         outstanding_(static_cast<std::size_t>(num_sites), 0),
         ewma_ms_(static_cast<std::size_t>(num_sites), 0.0) {}
@@ -124,15 +160,17 @@ class ReplicaBalancer {
     return it->second.get();
   }
 
-  void OnSubmit(const Plan* plan) { Bump(plan, +1); }
+  void OnSubmit(const Plan* plan) {
+    for (const SiteId site : plans_.Get(*plan).server_sites) {
+      ++outstanding_[static_cast<std::size_t>(site)];
+    }
+  }
 
   /// Completion hook: releases the in-flight counts and folds the
   /// query's response time into each touched server's EWMA estimate.
   void OnComplete(const Plan* plan, double response_ms) {
-    Bump(plan, -1);
-    const auto it = plan_sites_.find(plan);
-    DIMSUM_CHECK(it != plan_sites_.end());
-    for (const SiteId site : it->second) {
+    for (const SiteId site : plans_.Get(*plan).server_sites) {
+      --outstanding_[static_cast<std::size_t>(site)];
       double& est = ewma_ms_[static_cast<std::size_t>(site)];
       // Seed with the first observation, then decay (alpha = 0.2). A
       // never-observed site keeps est == 0, which Score treats as a
@@ -209,24 +247,15 @@ class ReplicaBalancer {
     return best;
   }
 
-  void Bump(const Plan* plan, int delta) {
-    auto [it, inserted] = plan_sites_.try_emplace(plan);
-    if (inserted) it->second = BoundServerSites(*plan, catalog_, page_bytes_);
-    for (const SiteId site : it->second) {
-      outstanding_[static_cast<std::size_t>(site)] += delta;
-    }
-  }
-
   const Catalog& catalog_;
   const ReplicaPolicy policy_;
-  const int page_bytes_;
+  PlanCache& plans_;
   std::vector<int32_t> round_robin_;       // per-relation rotation cursor
   std::vector<int> outstanding_;           // per-site in-flight queries
   std::vector<double> ewma_ms_;            // per-site response-time EWMA
   std::map<std::pair<const Plan*, std::vector<int32_t>>,
            std::unique_ptr<Plan>>
       variants_;
-  std::map<const Plan*, std::vector<SiteId>> plan_sites_;
 };
 
 /// True when some sharded relation keeps more than one copy per shard
@@ -241,142 +270,415 @@ bool HasBalancedShards(const Catalog& catalog) {
 /// Creates a balancer when the (policy, catalog) pair calls for one.
 std::unique_ptr<ReplicaBalancer> MakeBalancer(const Catalog& catalog,
                                               ReplicaPolicy policy,
-                                              int page_bytes, int num_sites) {
+                                              PlanCache& plans,
+                                              int num_sites) {
   if (policy == ReplicaPolicy::kFirstCopy ||
       (!catalog.replicated() && !HasBalancedShards(catalog))) {
     return nullptr;
   }
-  return std::make_unique<ReplicaBalancer>(catalog, policy, page_bytes,
-                                           num_sites);
+  return std::make_unique<ReplicaBalancer>(catalog, policy, plans, num_sites);
 }
 
-/// Shared state of one run, referenced by every client coroutine. Lives in
-/// RunClosedLoop's frame, which outlives session.Run().
-struct RunState {
-  ExecSession& session;
-  const Catalog& catalog;
-  const RetryPolicy& retry;
-  int page_bytes;
-  DriverResult* result;
-  /// Owns plans produced by recovery re-optimization, so adopted plans
-  /// stay alive for the queries still running on them.
-  std::vector<std::unique_ptr<Plan>> replanned;
-  /// Non-null when a balancing policy is active (see ReplicaBalancer).
-  ReplicaBalancer* balancer = nullptr;
-  /// Plan each ticket is attributed against: the balanced variant when one
+/// The arrival source driving a run. The core's folds branch on it where
+/// the two loops measure differently; the committed outputs pin both.
+enum class Source { kClosedLoop, kOpenLoop };
+
+/// What the core records about one submitted query.
+struct TicketRecord {
+  SiteId client = kUnboundSite;
+  /// Plan the ticket is attributed against: the balanced variant when one
   /// was submitted, otherwise the client's original plan (so recovery
-  /// re-planned tickets keep their pre-existing skip-on-misalignment
-  /// attribution behavior).
-  std::vector<const Plan*> submitted;
-  /// Per-ticket issue instants (the client started trying, before crash
-  /// retries) and the aborted attempts that preceded the submission.
-  std::vector<double> issue_ms;
-  std::vector<std::vector<QueryLogAttempt>> attempts;
+  /// re-planned tickets keep their skip-on-misalignment attribution).
+  const Plan* plan = nullptr;
+  /// Closed loop: the instant the client began issuing (before crash
+  /// retries). Open loop: the arrival instant.
+  double issue_ms = 0.0;
+  /// Aborted submission attempts that preceded the submission.
+  std::vector<QueryLogAttempt> attempts;
 };
 
-/// One closed-loop client: submit, await completion, think, repeat.
-/// Records each completion into the shared result at its completion
-/// instant, so the global completion order falls directly out of the
-/// event order. With a fault schedule, each submission first runs crash
-/// detection and recovery (see RetryPolicy).
-sim::Process ClientProcess(RunState& run, const ClientWorkload& work,
-                           SiteId client, int queries, double think_mean_ms,
-                           Rng rng) {
-  sim::Simulator& sim = run.session.sim();
-  const Plan* plan = work.plan;
-  for (int i = 0; i < queries; ++i) {
-    if (i > 0 && think_mean_ms > 0.0) {
-      co_await sim.Delay(rng.Exponential(think_mean_ms));
+/// Figures the core folds that only one driver's result carries.
+struct SideFolds {
+  double fault_stall_ms = 0.0;
+  int64_t retransmits = 0;
+  int64_t retries = 0;
+  int64_t reopts = 0;
+  /// Issue-to-submit waits over the measured completions (the open loop's
+  /// admission wait).
+  RunningStat queue_wait_ms;
+  /// Availability-windowed responses over the measured completions
+  /// (faulted runs only).
+  RunningStat healthy_response_ms;
+  RunningStat degraded_response_ms;
+};
+
+/// The machinery both drivers share. Lives in the driver's frame, which
+/// outlives session().Run().
+class RunCore {
+ public:
+  RunCore(Source source, const std::vector<ClientWorkload>& clients,
+          const Catalog& catalog, const SystemConfig& config,
+          const WorkloadRunConfig& run, int warmup)
+      // Validation runs first: the session is built from the same inputs.
+      : warmup_(Validate(clients, catalog, config, run, warmup)),
+        source_(source),
+        config_(config),
+        run_(run),
+        // Query logging needs spans and actuals; both are pure
+        // observation, so forcing them on the session's config copy leaves
+        // results bit-identical.
+        collect_actuals_(config.collect_operator_actuals ||
+                         run.collect_query_log),
+        session_(catalog, SessionConfig(config, run.collect_query_log),
+                 run.seed),
+        plans_(catalog, config.params.page_bytes),
+        balancer_(MakeBalancer(catalog, run.replica_policy, plans_,
+                               config.num_sites())),
+        rng_(run.seed * 6364136223846793005ULL + 1442695040888963407ULL) {}
+
+  ExecSession& session() { return session_; }
+  sim::Simulator& sim() { return session_.sim(); }
+  PlanCache& plans() { return plans_; }
+  /// Non-null when a balancing policy is active (see ReplicaBalancer).
+  const ReplicaBalancer* balancer() const { return balancer_.get(); }
+  Rng& rng() { return rng_; }
+  /// Completions so far, in global completion order.
+  const std::vector<Completion>& completions() const { return completions_; }
+  const TicketRecord& ticket(int t) const {
+    return tickets_[static_cast<std::size_t>(t)];
+  }
+  /// Policy label stamped into query-log records.
+  std::string PolicyLabel() const {
+    return run_.policy_label.empty() ? ToString(run_.replica_policy)
+                                     : run_.policy_label;
+  }
+
+  /// Awaitable end of the step Execute starts: resuming it records the
+  /// completion at its instant, so the global completion order falls
+  /// directly out of the event order. An awaitable rather than a nested
+  /// coroutine, so the step adds no frame to the kernel's frame pool.
+  struct Step {
+    RunCore& core;
+    int ticket;
+    const Plan* submitted;
+    double submit_ms;
+
+    bool await_ready() const { return core.session_.IsDone(ticket); }
+    void await_suspend(std::coroutine_handle<> caller) {
+      core.session_.UntilDone(ticket).await_suspend(caller);
     }
-    const double issue_ms = sim.now();
-    std::vector<QueryLogAttempt> attempt_log;
-    int attempts = 0;
-    sim::FaultState* faults = run.session.faults();
-    if (faults != nullptr) {
-      double backoff_ms = run.retry.backoff_base_ms;
-      while (true) {
+    void await_resume() const { core.Complete(*this); }
+  };
+
+  /// The one submit -> await -> complete step, run as
+  /// `co_await core.Execute(...)`. Balances `plan` when it is the client's
+  /// own (a recovery re-planned tree already chose its sites around the
+  /// crash), submits it and records the ticket.
+  Step Execute(const ClientWorkload& work, const Plan* plan, SiteId client,
+               double issue_ms, std::vector<QueryLogAttempt> attempts) {
+    const Plan* to_submit = plan;
+    if (balancer_ != nullptr && plan == work.plan) {
+      to_submit = balancer_->Choose(*plan, client);
+    }
+    const int ticket = session_.Submit(*to_submit, *work.query);
+    if (balancer_ != nullptr) balancer_->OnSubmit(to_submit);
+    DIMSUM_CHECK_EQ(ticket, static_cast<int>(tickets_.size()));
+    tickets_.push_back(TicketRecord{client,
+                                    to_submit != plan ? to_submit : work.plan,
+                                    issue_ms, std::move(attempts)});
+    return Step{*this, ticket, to_submit, sim().now()};
+  }
+
+  /// Post-run folds into the shared result fields, after session().Run().
+  /// Returns the figures only one driver's result carries.
+  SideFolds Fold(WorkloadRunResult& result) {
+    SideFolds side;
+    result.totals = session_.Totals();
+    const int total = session_.submitted();
+    result.per_query.reserve(static_cast<std::size_t>(total));
+    for (int t = 0; t < total; ++t) {
+      const ExecMetrics& metrics = session_.Metrics(t);
+      result.per_query.push_back(metrics);
+      side.fault_stall_ms += metrics.fault_stall_ms;
+      side.retransmits += metrics.retransmits;
+      for (const QueryLogAttempt& attempt : ticket(t).attempts) {
+        ++side.retries;
+        if (attempt.reoptimized) ++side.reopts;
+      }
+    }
+    result.makespan_ms =
+        completions_.empty() ? 0.0 : completions_.back().complete_ms;
+    if (collect_actuals_) FoldBottleneck(result);
+    if (run_.collect_query_log) FoldQueryLog(result);
+    FoldSteadyState(result, side);
+    FoldRegistry(result.totals, side);
+    return side;
+  }
+
+ private:
+  static int Validate(const std::vector<ClientWorkload>& clients,
+                      const Catalog& catalog, const SystemConfig& config,
+                      const WorkloadRunConfig& run, int warmup) {
+    const int num_clients = static_cast<int>(clients.size());
+    DIMSUM_CHECK_GE(num_clients, 1);
+    DIMSUM_CHECK_EQ(num_clients, config.num_clients);
+    DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
+    DIMSUM_CHECK_GE(run.num_batches, 1);
+    DIMSUM_CHECK_GE(warmup, 0) << "warmup must be non-negative";
+    for (int c = 0; c < num_clients; ++c) {
+      const ClientWorkload& work = clients[c];
+      DIMSUM_CHECK(work.plan != nullptr);
+      DIMSUM_CHECK(work.query != nullptr);
+      DIMSUM_CHECK(!work.plan->empty());
+      DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
+          << "client " << c << "'s plan displays elsewhere";
+      DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
+    }
+    return warmup;
+  }
+
+  void Complete(const Step& step) {
+    const double now = sim().now();
+    if (balancer_ != nullptr) {
+      balancer_->OnComplete(step.submitted, now - step.submit_ms);
+    }
+    completions_.push_back(Completion{step.ticket, ticket(step.ticket).client,
+                                      step.submit_ms, now});
+  }
+
+  static SystemConfig SessionConfig(const SystemConfig& config,
+                                    bool collect_query_log) {
+    SystemConfig session_config = config;
+    if (collect_query_log) {
+      session_config.collect_spans = true;
+      session_config.collect_operator_actuals = true;
+    }
+    return session_config;
+  }
+
+  /// Start of a ticket's response time: the closed loop measures from
+  /// submission (crash retries surface as attempts), the open loop from
+  /// arrival (the admission wait is part of the figure).
+  double ResponseStart(const Completion& c) const {
+    return source_ == Source::kOpenLoop ? ticket(c.ticket).issue_ms
+                                        : c.submit_ms;
+  }
+
+  /// Attributes each ticket against the plan recorded for it. The closed
+  /// loop sums in ticket order, the open loop in completion order.
+  void FoldBottleneck(WorkloadRunResult& result) {
+    BottleneckAccumulator acc;
+    const auto add = [&](int t) {
+      acc.Add(plans_.Get(*ticket(t).plan).operator_sites, result.per_query[t]);
+    };
+    if (source_ == Source::kClosedLoop) {
+      for (int t = 0; t < static_cast<int>(tickets_.size()); ++t) add(t);
+    } else {
+      for (const Completion& c : completions_) add(c.ticket);
+    }
+    result.bottleneck = acc.Finish(result.totals, result.makespan_ms);
+  }
+
+  /// One record per completed query, in completion order.
+  void FoldQueryLog(WorkloadRunResult& result) {
+    const std::string policy = PolicyLabel();
+    result.query_log.reserve(completions_.size());
+    for (const Completion& c : completions_) {
+      const TicketRecord& t = ticket(c.ticket);
+      QueryLogRecord record;
+      record.policy = policy;
+      record.ticket = c.ticket;
+      record.client = c.client;
+      const PlanCache::Facts& facts = plans_.Get(*t.plan);
+      record.plan_signature = facts.signature;
+      record.fanout = facts.server_sites;
+      record.issue_ms = t.issue_ms;
+      record.submit_ms = c.submit_ms;
+      record.complete_ms = c.complete_ms;
+      record.response_ms = c.complete_ms - ResponseStart(c);
+      record.attempts = t.attempts;
+      FillResourceTotals(result.per_query[c.ticket], record);
+      const sim::QuerySpans* spans = session_.Spans(c.ticket);
+      DIMSUM_CHECK(spans != nullptr);
+      record.path = ExtractCriticalPath(*spans);
+      if (source_ == Source::kOpenLoop) {
+        // The admission wait (arrival -> dispatch) precedes execution;
+        // with it the segments tile [arrival, complete], so they sum to
+        // the open-loop response time.
+        if (c.submit_ms > t.issue_ms) {
+          record.path.segments.insert(
+              record.path.segments.begin(),
+              PathSegment{PathKind::kAdmission, true, kUnboundSite,
+                          c.submit_ms - t.issue_ms});
+        }
+        record.path.total_ms = record.response_ms;
+      }
+      result.query_log.push_back(std::move(record));
+    }
+  }
+
+  /// Steady-state estimation over the post-warmup completions, in global
+  /// completion order (the batch-means method over one merged output
+  /// stream): split the measured stream into num_batches contiguous
+  /// batches of floor(measured / num_batches) completions (at least one),
+  /// folding the remainder into the last batch.
+  void FoldSteadyState(WorkloadRunResult& result, SideFolds& side) {
+    const int completed = static_cast<int>(completions_.size());
+    const int warmup = std::min(warmup_, completed);
+    result.warmup_end_ms =
+        warmup > 0 ? completions_[warmup - 1].complete_ms : 0.0;
+    result.measured = completed - warmup;
+    const double window_ms = result.makespan_ms - result.warmup_end_ms;
+    result.throughput_qps =
+        window_ms > 0.0 ? result.measured / window_ms * 1000.0 : 0.0;
+
+    const int batch_size = std::max(1, result.measured / run_.num_batches);
+    sim::FaultState* faults = session_.faults();
+    RunningStat overall;
+    RunningStat batch;
+    int in_batch = 0;
+    int batches_done = 0;
+    for (int i = warmup; i < completed; ++i) {
+      const Completion& c = completions_[i];
+      const double start_ms = ResponseStart(c);
+      const double response_ms = c.complete_ms - start_ms;
+      overall.Add(response_ms);
+      side.queue_wait_ms.Add(c.submit_ms - ticket(c.ticket).issue_ms);
+      batch.Add(response_ms);
+      ++in_batch;
+      const bool last_batch = batches_done + 1 >= run_.num_batches;
+      if (in_batch >= batch_size && !last_batch) {
+        result.batch_means.Add(batch.mean());
+        batch = RunningStat();
+        in_batch = 0;
+        ++batches_done;
+      }
+      // Availability-windowed split (faulted runs only): degraded when
+      // any site was down somewhere in the response window.
+      if (faults == nullptr) continue;
+      if (faults->AnySiteDownDuring(start_ms, c.complete_ms)) {
+        side.degraded_response_ms.Add(response_ms);
+      } else {
+        side.healthy_response_ms.Add(response_ms);
+      }
+    }
+    if (in_batch > 0) result.batch_means.Add(batch.mean());
+    result.mean_response_ms = overall.mean();
+    result.response_ci90_ms = HalfWidth90(result.batch_means);
+  }
+
+  void FoldRegistry(const BatchTotals& totals, const SideFolds& side) {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    if (!registry.enabled()) return;
+    registry.counter("driver.completions")
+        .Add(static_cast<int64_t>(completions_.size()));
+    if (session_.faults() == nullptr) return;
+    registry.counter("faults.retries").Add(side.retries);
+    registry.counter("faults.reopts").Add(side.reopts);
+    registry.counter("faults.retransmits").Add(side.retransmits);
+    registry.counter("faults.crashes").Add(totals.crashes);
+    registry.gauge("faults.downtime_ms").Add(totals.crash_downtime_ms);
+    registry.gauge("faults.stall_ms").Add(side.fault_stall_ms);
+    if (config_.collect_histograms && totals.downtime_ms.count() > 0) {
+      registry.MergeHistogram("faults.downtime_ms_hist", totals.downtime_ms);
+    }
+  }
+
+  const int warmup_;
+  const Source source_;
+  const SystemConfig& config_;
+  const WorkloadRunConfig& run_;
+  const bool collect_actuals_;
+  ExecSession session_;
+  PlanCache plans_;
+  std::unique_ptr<ReplicaBalancer> balancer_;
+  Rng rng_;
+  std::vector<TicketRecord> tickets_;
+  std::vector<Completion> completions_;
+};
+
+// ---------------------------------------------------------------------------
+// Closed-loop source: think-time clients with crash recovery
+// ---------------------------------------------------------------------------
+
+/// First of `sites` that is down at `now_ms`, or kUnboundSite.
+SiteId FirstDownSite(const std::vector<SiteId>& sites,
+                     sim::FaultState& faults, double now_ms) {
+  for (const SiteId site : sites) {
+    if (faults.SiteDown(site, now_ms)) return site;
+  }
+  return kUnboundSite;
+}
+
+struct ClosedLoop {
+  RunCore& core;
+  const Catalog& catalog;
+  const RetryPolicy& retry;
+  /// Owns every plan recovery re-optimization produced, adopted or not:
+  /// adopted plans stay alive for the queries still running on them, and
+  /// the plan cache keys by address, so no looked-up plan is freed early.
+  std::vector<std::unique_ptr<Plan>> replanned;
+
+  /// One closed-loop client: think, issue, submit, await completion, repeat.
+  /// With a fault schedule, each issue first runs crash detection and
+  /// recovery (see RetryPolicy).
+  sim::Process Client(const ClientWorkload& work, SiteId client, int queries,
+                      double think_mean_ms, Rng rng) {
+    sim::Simulator& sim = core.sim();
+    const Plan* plan = work.plan;
+    for (int i = 0; i < queries; ++i) {
+      if (i > 0 && think_mean_ms > 0.0) {
+        co_await sim.Delay(rng.Exponential(think_mean_ms));
+      }
+      const double issue_ms = sim.now();
+      std::vector<QueryLogAttempt> attempts;
+      sim::FaultState* faults = core.session().faults();
+      double backoff_ms = retry.backoff_base_ms;
+      while (faults != nullptr) {
         // The previous attempt's wait ran until this re-check instant.
-        if (!attempt_log.empty() && attempt_log.back().wait_ms == 0.0) {
-          attempt_log.back().wait_ms =
-              sim.now() - attempt_log.back().start_ms;
+        if (!attempts.empty() && attempts.back().wait_ms == 0.0) {
+          attempts.back().wait_ms = sim.now() - attempts.back().start_ms;
         }
-        std::vector<SiteId> down;
-        for (const SiteId site :
-             BoundServerSites(*plan, run.catalog, run.page_bytes)) {
-          if (faults->SiteDown(site, sim.now())) down.push_back(site);
-        }
-        if (down.empty()) break;
+        const SiteId blocking = FirstDownSite(
+            core.plans().Get(*plan).server_sites, *faults, sim.now());
+        if (blocking == kUnboundSite) break;
         // The submission attempt times out against the crashed site.
-        ++attempts;
-        ++run.result->total_retries;
-        attempt_log.push_back(QueryLogAttempt{sim.now(), 0.0, false});
-        co_await sim.Delay(run.retry.detect_timeout_ms);
-        if (run.retry.reoptimize && work.reopt_model != nullptr &&
+        attempts.push_back(QueryLogAttempt{sim.now(), 0.0, false});
+        co_await sim.Delay(retry.detect_timeout_ms);
+        if (retry.reoptimize && work.reopt_model != nullptr &&
             work.reopt_config != nullptr) {
           OptimizerConfig reopt = *work.reopt_config;
           reopt.unavailable_sites = faults->DownSites(sim.now());
           Rng opt_rng = rng.Fork();
           OptimizeResult selected = TwoStepSiteSelection(
               *work.reopt_model, *work.plan, *work.query, reopt, opt_rng);
-          ++run.result->total_reopts;
-          attempt_log.back().reoptimized = true;
-          auto candidate = std::make_unique<Plan>(std::move(selected.plan));
-          BindSites(*candidate, run.catalog, client);
-          bool avoids_down = true;
-          for (const SiteId site :
-               BoundServerSites(*candidate, run.catalog, run.page_bytes)) {
-            if (faults->SiteDown(site, sim.now())) avoids_down = false;
-          }
-          if (avoids_down) {
-            plan = candidate.get();
-            run.replanned.push_back(std::move(candidate));
+          attempts.back().reoptimized = true;
+          Plan& candidate = *replanned.emplace_back(
+              std::make_unique<Plan>(std::move(selected.plan)));
+          BindSites(candidate, catalog, client);
+          if (FirstDownSite(core.plans().Get(candidate).server_sites, *faults,
+                            sim.now()) == kUnboundSite) {
+            plan = &candidate;
             continue;  // re-check and submit the recovered plan
           }
         }
-        if (attempts >= run.retry.max_retries) {
-          // Out of retries; wait for the first blocking site to restart
-          // (queries are never abandoned).
-          while (faults->SiteDown(down.front(), sim.now())) {
-            co_await sim.Delay(faults->SiteUpAt(down.front(), sim.now()) -
+        if (static_cast<int>(attempts.size()) >= retry.max_retries) {
+          // Out of retries; wait for the blocking site to restart (queries
+          // are never abandoned).
+          while (faults->SiteDown(blocking, sim.now())) {
+            co_await sim.Delay(faults->SiteUpAt(blocking, sim.now()) -
                                sim.now());
           }
           continue;
         }
         co_await sim.Delay(backoff_ms);
         backoff_ms =
-            std::min(backoff_ms * run.retry.backoff_mult,
-                     run.retry.backoff_cap_ms);
+            std::min(backoff_ms * retry.backoff_mult, retry.backoff_cap_ms);
       }
+      co_await core.Execute(work, plan, client, issue_ms, std::move(attempts));
     }
-    const double submit_ms = sim.now();
-    // Load balancing rewrites as-planned submissions only; a recovery
-    // re-planned tree already chose its sites around the crash.
-    const Plan* to_submit = plan;
-    if (run.balancer != nullptr && plan == work.plan) {
-      to_submit = run.balancer->Choose(*plan, client);
-    }
-    const int ticket = run.session.Submit(*to_submit, *work.query);
-    if (run.balancer != nullptr) run.balancer->OnSubmit(to_submit);
-    if (static_cast<int>(run.result->query_client.size()) <= ticket) {
-      run.result->query_client.resize(ticket + 1, kUnboundSite);
-      run.result->retries_per_query.resize(ticket + 1, 0);
-      run.submitted.resize(ticket + 1, nullptr);
-      run.issue_ms.resize(ticket + 1, 0.0);
-      run.attempts.resize(ticket + 1);
-    }
-    run.result->query_client[ticket] = client;
-    run.result->retries_per_query[ticket] = attempts;
-    run.submitted[ticket] = (to_submit != plan) ? to_submit : work.plan;
-    run.issue_ms[ticket] = issue_ms;
-    run.attempts[ticket] = std::move(attempt_log);
-    co_await run.session.UntilDone(ticket);
-    if (run.balancer != nullptr) {
-      run.balancer->OnComplete(to_submit, sim.now() - submit_ms);
-    }
-    run.result->completions.push_back(
-        Completion{ticket, client, submit_ms, sim.now()});
   }
-}
+};
 
 }  // namespace
 
@@ -384,305 +686,157 @@ DriverResult RunClosedLoop(const std::vector<ClientWorkload>& clients,
                            const Catalog& catalog, const SystemConfig& config,
                            const DriverConfig& driver) {
   const int num_clients = static_cast<int>(clients.size());
-  DIMSUM_CHECK_GE(num_clients, 1);
-  DIMSUM_CHECK_EQ(num_clients, config.num_clients);
-  DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
   DIMSUM_CHECK_GE(driver.queries_per_client, 1);
-  DIMSUM_CHECK_GE(driver.think_time_mean_ms, 0.0);
-  DIMSUM_CHECK_GE(driver.num_batches, 1);
+  CheckNonNegative(driver.think_time_mean_ms, "think_time_mean_ms");
+  CheckNonNegative(driver.retry.detect_timeout_ms, "retry.detect_timeout_ms");
+  CheckNonNegative(driver.retry.backoff_base_ms, "retry.backoff_base_ms");
+  CheckNonNegative(driver.retry.backoff_mult, "retry.backoff_mult");
+  CheckNonNegative(driver.retry.backoff_cap_ms, "retry.backoff_cap_ms");
+  RunCore core(Source::kClosedLoop, clients, catalog, config, driver,
+               driver.warmup_queries);
   const int total = num_clients * driver.queries_per_client;
   DIMSUM_CHECK_LT(driver.warmup_queries, total)
       << "warmup must leave at least one measured completion";
+  core.session().ExpectQueries(total);
+  ClosedLoop loop{core, catalog, driver.retry, {}};
+  for (int c = 0; c < num_clients; ++c) {
+    core.sim().Spawn(loop.Client(clients[c], ClientSite(c),
+                                 driver.queries_per_client,
+                                 driver.think_time_mean_ms, core.rng().Fork()));
+  }
+  core.session().Run();
+  DIMSUM_CHECK_EQ(static_cast<int>(core.completions().size()), total);
 
   DriverResult result;
-  // Query logging needs spans and actuals; both are pure observation, so
-  // forcing them on the session's config copy leaves results bit-identical.
-  SystemConfig session_config = config;
-  if (driver.collect_query_log) {
-    session_config.collect_spans = true;
-    session_config.collect_operator_actuals = true;
-  }
-  ExecSession session(catalog, session_config, driver.seed);
-  session.ExpectQueries(total);
-  std::unique_ptr<ReplicaBalancer> balancer =
-      MakeBalancer(catalog, driver.replica_policy, config.params.page_bytes,
-                   config.num_sites());
-  RunState run{session,  catalog, driver.retry, config.params.page_bytes,
-               &result,  {},      balancer.get(), {}};
-  Rng rng(driver.seed * 6364136223846793005ULL + 1442695040888963407ULL);
-  for (int c = 0; c < num_clients; ++c) {
-    const ClientWorkload& work = clients[c];
-    DIMSUM_CHECK(work.plan != nullptr);
-    DIMSUM_CHECK(work.query != nullptr);
-    DIMSUM_CHECK(!work.plan->empty());
-    DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
-        << "client " << c << "'s plan displays elsewhere";
-    DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
-    session.sim().Spawn(ClientProcess(run, work, ClientSite(c),
-                                      driver.queries_per_client,
-                                      driver.think_time_mean_ms, rng.Fork()));
-  }
-  session.Run();
-
-  DIMSUM_CHECK_EQ(static_cast<int>(result.completions.size()), total);
-  result.totals = session.Totals();
-  result.per_query.reserve(total);
+  const SideFolds side = core.Fold(result);
+  result.completions = core.completions();
   for (int t = 0; t < total; ++t) {
-    result.per_query.push_back(session.Metrics(t));
-    result.fault_stall_ms += session.Metrics(t).fault_stall_ms;
-    result.retransmits += session.Metrics(t).retransmits;
+    result.query_client.push_back(core.ticket(t).client);
+    result.retries_per_query.push_back(
+        static_cast<int>(core.ticket(t).attempts.size()));
   }
-  result.makespan_ms = result.completions.back().complete_ms;
-  if (session_config.collect_operator_actuals) {
-    // Attribute each ticket against the plan actually submitted for it
-    // (the balanced variant when one was chosen); queries that ran a
-    // recovery re-planned tree are skipped by the accumulator (their
-    // actuals no longer align with the client's plan).
-    std::map<const Plan*, std::vector<SiteId>> op_sites;
-    BottleneckAccumulator acc;
-    for (int t = 0; t < total; ++t) {
-      const Plan* p = run.submitted[t];
-      auto [it, inserted] = op_sites.try_emplace(p);
-      if (inserted) it->second = OperatorSites(*p);
-      acc.Add(it->second, result.per_query[t]);
-    }
-    result.bottleneck = acc.Finish(result.totals, result.makespan_ms);
-  }
-  if (driver.collect_query_log) {
-    const std::string policy = driver.policy_label.empty()
-                                   ? ToString(driver.replica_policy)
-                                   : driver.policy_label;
-    PlanLogCache plans(catalog, config.params.page_bytes);
-    result.query_log.reserve(total);
-    for (const Completion& c : result.completions) {
-      QueryLogRecord record;
-      record.policy = policy;
-      record.ticket = c.ticket;
-      record.client = c.client;
-      const Plan& plan = *run.submitted[c.ticket];
-      record.plan_signature = plans.Signature(plan);
-      record.fanout = plans.Fanout(plan);
-      record.issue_ms = run.issue_ms[c.ticket];
-      record.submit_ms = c.submit_ms;
-      record.complete_ms = c.complete_ms;
-      record.response_ms = c.complete_ms - c.submit_ms;
-      record.attempts = run.attempts[c.ticket];
-      FillResourceTotals(result.per_query[c.ticket], record);
-      const sim::QuerySpans* spans = session.Spans(c.ticket);
-      DIMSUM_CHECK(spans != nullptr);
-      record.path = ExtractCriticalPath(*spans);
-      result.query_log.push_back(std::move(record));
-    }
-  }
-  result.abort_rate =
-      static_cast<double>(result.total_retries) /
-      static_cast<double>(total + result.total_retries);
-
-  // Steady-state estimation over the post-warmup completions, in global
-  // completion order (the batch-means method over one merged output
-  // stream).
-  const int warmup = driver.warmup_queries;
-  result.warmup_end_ms =
-      warmup > 0 ? result.completions[warmup - 1].complete_ms : 0.0;
-  result.measured = total - warmup;
-  const double window_ms = result.makespan_ms - result.warmup_end_ms;
-  result.throughput_qps =
-      window_ms > 0.0 ? result.measured / window_ms * 1000.0 : 0.0;
-
-  // Batch means: split the measured stream into num_batches contiguous
-  // batches of floor(measured / num_batches) completions (at least one),
-  // folding the remainder into the last batch.
-  const int batch_size = std::max(1, result.measured / driver.num_batches);
-  RunningStat overall;
-  RunningStat batch;
-  int in_batch = 0;
-  int batches_done = 0;
-  for (int i = warmup; i < total; ++i) {
-    const Completion& c = result.completions[i];
-    const double response_ms = c.complete_ms - c.submit_ms;
-    overall.Add(response_ms);
-    batch.Add(response_ms);
-    ++in_batch;
-    const bool last_batch = batches_done + 1 >= driver.num_batches;
-    if (in_batch >= batch_size && !last_batch) {
-      result.batch_means.Add(batch.mean());
-      batch = RunningStat();
-      in_batch = 0;
-      ++batches_done;
-    }
-    // Availability-windowed split (faulted runs only): degraded when any
-    // site was down somewhere in [submit, complete).
-    if (session.faults() != nullptr) {
-      if (session.faults()->AnySiteDownDuring(c.submit_ms, c.complete_ms)) {
-        result.degraded_response_ms.Add(response_ms);
-      } else {
-        result.healthy_response_ms.Add(response_ms);
-      }
-    }
-  }
-  if (in_batch > 0) result.batch_means.Add(batch.mean());
-  result.mean_response_ms = overall.mean();
-  result.response_ci90_ms = result.batch_means.count() >= 2
-                                ? result.batch_means.ConfidenceHalfWidth90()
-                                : 0.0;
-  result.healthy_ci90_ms =
-      result.healthy_response_ms.count() >= 2
-          ? result.healthy_response_ms.ConfidenceHalfWidth90()
-          : 0.0;
-  result.degraded_ci90_ms =
-      result.degraded_response_ms.count() >= 2
-          ? result.degraded_response_ms.ConfidenceHalfWidth90()
-          : 0.0;
-
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  if (registry.enabled()) {
-    registry.counter("driver.completions").Add(total);
-  }
-  if (registry.enabled() && session.faults() != nullptr) {
-    registry.counter("faults.retries").Add(result.total_retries);
-    registry.counter("faults.reopts").Add(result.total_reopts);
-    registry.counter("faults.retransmits").Add(result.retransmits);
-    registry.counter("faults.crashes").Add(result.totals.crashes);
-    registry.gauge("faults.downtime_ms").Add(result.totals.crash_downtime_ms);
-    registry.gauge("faults.stall_ms").Add(result.fault_stall_ms);
-    if (config.collect_histograms && result.totals.downtime_ms.count() > 0) {
-      registry.MergeHistogram("faults.downtime_ms_hist",
-                              result.totals.downtime_ms);
-    }
-  }
+  result.total_retries = side.retries;
+  result.total_reopts = side.reopts;
+  result.abort_rate = static_cast<double>(side.retries) /
+                      static_cast<double>(total + side.retries);
+  result.fault_stall_ms = side.fault_stall_ms;
+  result.retransmits = side.retransmits;
+  result.healthy_response_ms = side.healthy_response_ms;
+  result.degraded_response_ms = side.degraded_response_ms;
+  result.healthy_ci90_ms = HalfWidth90(result.healthy_response_ms);
+  result.degraded_ci90_ms = HalfWidth90(result.degraded_response_ms);
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Open loop
+// Open-loop source: arrival generator, admission control, rejected records
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Shared state of one open-loop run. Lives in RunOpenLoop's frame, which
-/// outlives session.Run().
-struct OpenLoopState {
-  ExecSession& session;
-  const std::vector<ClientWorkload>& clients;
-  const AdmissionControl& admission;
-  OpenLoopResult* result;
-
+struct OpenLoop {
   struct PendingArrival {
     double arrival_ms;
     int client_index;
   };
-  std::deque<PendingArrival> pending;
+
+  RunCore& core;
+  const std::vector<ClientWorkload>& clients;
+  const AdmissionControl& admission;
+  OpenLoopResult& result;
+  std::deque<PendingArrival> pending = {};
   int in_flight = 0;
-  /// Non-null when a balancing policy is active (see ReplicaBalancer).
-  ReplicaBalancer* balancer = nullptr;
-  /// Plan actually submitted for each ticket (for bottleneck attribution).
-  std::vector<const Plan*> submitted;
-
-  /// Query-log collection (OpenLoopConfig::collect_query_log): arrivals
-  /// turned away, recorded at their rejection instants.
+  /// Query-log collection (collect_query_log): records of arrivals turned
+  /// away, built at their rejection instants.
   bool collect_log = false;
-  struct Rejected {
-    double arrival_ms;
-    double reject_ms;
-    SiteId client;
-  };
-  std::vector<Rejected> aborted_log;
-  std::vector<Rejected> shed_log;
-};
+  std::vector<QueryLogRecord> aborted_log = {};
+  std::vector<QueryLogRecord> shed_log = {};
 
-sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
-                           double arrival_ms);
-
-/// Moves an admitted arrival into execution (consumes an in-flight slot).
-void OpenLoopDispatch(OpenLoopState& state, int client_index,
-                      double arrival_ms) {
-  ++state.in_flight;
-  ++state.result->dispatched;
-  if (state.in_flight > state.result->peak_in_flight) {
-    state.result->peak_in_flight = state.in_flight;
+  bool SlotFree() const {
+    return admission.max_in_flight <= 0 || in_flight < admission.max_in_flight;
   }
-  state.session.sim().Spawn(OpenLoopQuery(state, client_index, arrival_ms));
-}
 
-/// Admission control at the arrival instant: dispatch if a slot is free,
-/// otherwise queue up to max_pending, otherwise shed.
-void OpenLoopAdmit(OpenLoopState& state, int client_index) {
-  ++state.result->arrivals;
-  const AdmissionControl& ac = state.admission;
-  const double now = state.session.sim().now();
-  if (ac.max_in_flight <= 0 || state.in_flight < ac.max_in_flight) {
-    OpenLoopDispatch(state, client_index, now);
-    return;
-  }
-  if (static_cast<int>(state.pending.size()) < ac.max_pending) {
-    state.pending.push_back({now, client_index});
-    if (static_cast<int>(state.pending.size()) >
-        state.result->peak_pending) {
-      state.result->peak_pending = static_cast<int>(state.pending.size());
+  /// Admission control at the arrival instant: dispatch if a slot is free,
+  /// otherwise queue up to max_pending, otherwise shed.
+  void Admit(int client_index) {
+    ++result.arrivals;
+    const double now = core.sim().now();
+    if (SlotFree()) {
+      Dispatch(client_index, now);
+    } else if (static_cast<int>(pending.size()) < admission.max_pending) {
+      pending.push_back({now, client_index});
+      result.peak_pending =
+          std::max(result.peak_pending, static_cast<int>(pending.size()));
+    } else {
+      ++result.shed;
+      LogRejected(shed_log, "shed", now, client_index);
     }
-    return;
   }
-  ++state.result->shed;
-  if (state.collect_log) {
-    state.shed_log.push_back({now, now, ClientSite(client_index)});
-  }
-}
 
-/// One open-loop query: submit, await completion, record, then hand the
-/// freed slot to the pending queue (skipping arrivals that outwaited
-/// abort_wait_ms).
-sim::Process OpenLoopQuery(OpenLoopState& state, int client_index,
-                           double arrival_ms) {
-  sim::Simulator& sim = state.session.sim();
-  const ClientWorkload& work = state.clients[client_index];
-  const double submit_ms = sim.now();
-  const Plan* to_submit =
-      state.balancer != nullptr
-          ? state.balancer->Choose(*work.plan, ClientSite(client_index))
-          : work.plan;
-  const int ticket = state.session.Submit(*to_submit, *work.query);
-  if (state.balancer != nullptr) state.balancer->OnSubmit(to_submit);
-  if (static_cast<int>(state.submitted.size()) <= ticket) {
-    state.submitted.resize(static_cast<std::size_t>(ticket) + 1, nullptr);
+  /// Moves an admitted arrival into execution (consumes an in-flight slot).
+  void Dispatch(int client_index, double arrival_ms) {
+    ++in_flight;
+    ++result.dispatched;
+    result.peak_in_flight = std::max(result.peak_in_flight, in_flight);
+    core.sim().Spawn(Query(client_index, arrival_ms));
   }
-  state.submitted[ticket] = to_submit;
-  co_await state.session.UntilDone(ticket);
-  if (state.balancer != nullptr) {
-    state.balancer->OnComplete(to_submit, sim.now() - submit_ms);
-  }
-  state.result->completions.push_back(OpenLoopCompletion{
-      ticket, ClientSite(client_index), arrival_ms, submit_ms, sim.now()});
-  ++state.result->completed;
-  --state.in_flight;
-  const AdmissionControl& ac = state.admission;
-  while (!state.pending.empty() &&
-         (ac.max_in_flight <= 0 || state.in_flight < ac.max_in_flight)) {
-    OpenLoopState::PendingArrival next = state.pending.front();
-    state.pending.pop_front();
-    if (ac.abort_wait_ms > 0.0 &&
-        sim.now() - next.arrival_ms > ac.abort_wait_ms) {
-      ++state.result->aborted;
-      if (state.collect_log) {
-        state.aborted_log.push_back(
-            {next.arrival_ms, sim.now(), ClientSite(next.client_index)});
+
+  /// One open-loop query: run it through the core, then hand the freed
+  /// slot to the pending queue (skipping arrivals that outwaited
+  /// abort_wait_ms).
+  sim::Process Query(int client_index, double arrival_ms) {
+    const ClientWorkload& work = clients[client_index];
+    co_await core.Execute(work, work.plan, ClientSite(client_index),
+                          arrival_ms, {});
+    ++result.completed;
+    --in_flight;
+    const double now = core.sim().now();
+    while (!pending.empty() && SlotFree()) {
+      const PendingArrival next = pending.front();
+      pending.pop_front();
+      if (admission.abort_wait_ms > 0.0 &&
+          now - next.arrival_ms > admission.abort_wait_ms) {
+        ++result.aborted;
+        LogRejected(aborted_log, "aborted", next.arrival_ms,
+                    next.client_index);
+        continue;
       }
-      continue;
+      Dispatch(next.client_index, next.arrival_ms);
     }
-    OpenLoopDispatch(state, next.client_index, next.arrival_ms);
   }
-}
+
+  /// Records an arrival turned away at the current instant: its whole
+  /// response is admission wait.
+  void LogRejected(std::vector<QueryLogRecord>& log, const char* outcome,
+                   double arrival_ms, int client_index) {
+    if (!collect_log) return;
+    QueryLogRecord& record = log.emplace_back();
+    record.policy = core.PolicyLabel();
+    record.client = ClientSite(client_index);
+    record.outcome = outcome;
+    record.issue_ms = arrival_ms;
+    record.submit_ms = core.sim().now();
+    record.complete_ms = record.submit_ms;
+    record.response_ms = record.submit_ms - arrival_ms;
+    record.path.total_ms = record.response_ms;
+    if (record.response_ms > 0.0) {
+      record.path.segments.push_back(PathSegment{
+          PathKind::kAdmission, true, kUnboundSite, record.response_ms});
+    }
+  }
+};
 
 /// The arrival generator: produces arrivals over [0, duration_ms) from the
 /// configured process, assigning them round-robin to client sites.
-sim::Process OpenLoopGenerator(OpenLoopState& state,
+sim::Process OpenLoopGenerator(OpenLoop& loop,
                                const ArrivalProcessConfig& arrival,
                                double duration_ms, Rng rng) {
-  sim::Simulator& sim = state.session.sim();
-  const int num_clients = static_cast<int>(state.clients.size());
+  sim::Simulator& sim = loop.core.sim();
+  const int num_clients = static_cast<int>(loop.clients.size());
   const double mean_gap_ms = 1000.0 / arrival.rate_per_sec;
   int next_client = 0;
   auto admit = [&] {
-    OpenLoopAdmit(state, next_client);
+    loop.Admit(next_client);
     next_client = (next_client + 1) % num_clients;
   };
   switch (arrival.kind) {
@@ -752,74 +906,51 @@ sim::Process OpenLoopGenerator(OpenLoopState& state,
 OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
                            const Catalog& catalog, const SystemConfig& config,
                            const OpenLoopConfig& openloop) {
-  const int num_clients = static_cast<int>(clients.size());
-  DIMSUM_CHECK_GE(num_clients, 1);
-  DIMSUM_CHECK_EQ(num_clients, config.num_clients);
-  DIMSUM_CHECK_EQ(num_clients, catalog.num_clients());
-  DIMSUM_CHECK_GT(openloop.arrival.rate_per_sec, 0.0);
-  DIMSUM_CHECK_GT(openloop.duration_ms, 0.0);
-  DIMSUM_CHECK_GE(openloop.num_batches, 1);
-  DIMSUM_CHECK_GE(openloop.warmup_completions, 0);
-  if (openloop.arrival.kind == ArrivalKind::kBursty) {
-    DIMSUM_CHECK_GT(openloop.arrival.burst_factor, 0.0);
-    DIMSUM_CHECK_GT(openloop.arrival.burst_on_mean_ms, 0.0);
-    DIMSUM_CHECK_GT(openloop.arrival.burst_off_mean_ms, 0.0);
+  const ArrivalProcessConfig& arrival = openloop.arrival;
+  CheckPositive(arrival.rate_per_sec, "arrival.rate_per_sec");
+  CheckPositive(openloop.duration_ms, "duration_ms");
+  if (arrival.kind == ArrivalKind::kBursty) {
+    CheckPositive(arrival.burst_factor, "arrival.burst_factor");
+    CheckPositive(arrival.burst_on_mean_ms, "arrival.burst_on_mean_ms");
+    CheckPositive(arrival.burst_off_mean_ms, "arrival.burst_off_mean_ms");
   }
-  if (openloop.arrival.kind == ArrivalKind::kDiurnal) {
-    DIMSUM_CHECK_GE(openloop.arrival.diurnal_amplitude, 0.0);
-    DIMSUM_CHECK_LE(openloop.arrival.diurnal_amplitude, 1.0);
-    DIMSUM_CHECK_GT(openloop.arrival.diurnal_period_ms, 0.0);
+  if (arrival.kind == ArrivalKind::kDiurnal) {
+    DIMSUM_CHECK_GE(arrival.diurnal_amplitude, 0.0);
+    DIMSUM_CHECK_LE(arrival.diurnal_amplitude, 1.0);
+    CheckPositive(arrival.diurnal_period_ms, "arrival.diurnal_period_ms");
   }
   DIMSUM_CHECK_GE(openloop.admission.max_in_flight, 0);
   DIMSUM_CHECK_GE(openloop.admission.max_pending, 0);
-  DIMSUM_CHECK_GE(openloop.admission.abort_wait_ms, 0.0);
-  for (int c = 0; c < num_clients; ++c) {
-    const ClientWorkload& work = clients[c];
-    DIMSUM_CHECK(work.plan != nullptr);
-    DIMSUM_CHECK(work.query != nullptr);
-    DIMSUM_CHECK(!work.plan->empty());
-    DIMSUM_CHECK_EQ(work.plan->root()->bound_site, ClientSite(c))
-        << "client " << c << "'s plan displays elsewhere";
-    DIMSUM_CHECK_EQ(work.query->home_client, ClientSite(c));
-  }
+  CheckNonNegative(openloop.admission.abort_wait_ms,
+                   "admission.abort_wait_ms");
 
-  OpenLoopResult result;
   // The shed count is only known at the end, so the session's completion
-  // target grows dynamically with each Submit (no ExpectQueries). Query
-  // logging needs spans and actuals; both are pure observation, so forcing
-  // them on the session's config copy leaves results bit-identical.
-  SystemConfig session_config = config;
-  if (openloop.collect_query_log) {
-    session_config.collect_spans = true;
-    session_config.collect_operator_actuals = true;
-  }
-  ExecSession session(catalog, session_config, openloop.seed);
-  std::unique_ptr<ReplicaBalancer> balancer =
-      MakeBalancer(catalog, openloop.replica_policy, config.params.page_bytes,
-                   config.num_sites());
-  OpenLoopState state{session, clients, openloop.admission, &result,
-                      {},      0,       balancer.get(),     {}};
-  state.collect_log = openloop.collect_query_log;
+  // target grows dynamically with each Submit (no ExpectQueries).
+  RunCore core(Source::kOpenLoop, clients, catalog, config, openloop,
+               openloop.warmup_completions);
+  OpenLoopResult result;
+  OpenLoop loop{core, clients, openloop.admission, result};
+  loop.collect_log = openloop.collect_query_log;
   if (config.telemetry != nullptr) {
     // Admission-control gauges ride the sampler's existing boundaries on
     // their own "driver" track (one past the network pid). Pure reads of
     // RunOpenLoop's frame state: non-perturbing by the same argument as
     // the resource probes (DESIGN.md section 8).
-    const int driver_pid = session.system().num_sites() + 1;
+    const int driver_pid = core.session().system().num_sites() + 1;
     config.telemetry->AddGauge(
         driver_pid, kUnboundSite, "admission", "in_flight",
-        [&state] { return static_cast<double>(state.in_flight); });
+        [&loop] { return static_cast<double>(loop.in_flight); });
     config.telemetry->AddGauge(
         driver_pid, kUnboundSite, "admission", "pending",
-        [&state] { return static_cast<double>(state.pending.size()); });
-    if (state.balancer != nullptr) {
+        [&loop] { return static_cast<double>(loop.pending.size()); });
+    if (const ReplicaBalancer* balancer = core.balancer()) {
       // Per-server in-flight gauges: the balancing policy's own view of
       // server load, sampled on the same non-perturbing boundaries.
       for (SiteId s = catalog.num_clients();
-           s < session.system().num_sites(); ++s) {
+           s < core.session().system().num_sites(); ++s) {
         config.telemetry->AddGauge(
-            driver_pid, s, "replica", "outstanding", [&state, s] {
-              return static_cast<double>(state.balancer->outstanding(s));
+            driver_pid, s, "replica", "outstanding", [balancer, s] {
+              return static_cast<double>(balancer->outstanding(s));
             });
       }
     }
@@ -827,152 +958,41 @@ OpenLoopResult RunOpenLoop(const std::vector<ClientWorkload>& clients,
       config.trace->SetProcessName(driver_pid, "driver");
     }
   }
-  Rng rng(openloop.seed * 6364136223846793005ULL + 1442695040888963407ULL);
-  session.sim().Spawn(OpenLoopGenerator(state, openloop.arrival,
-                                        openloop.duration_ms, rng.Fork()));
-  session.Run();
+  core.sim().Spawn(OpenLoopGenerator(loop, arrival, openloop.duration_ms,
+                                     core.rng().Fork()));
+  core.session().Run();
 
   DIMSUM_CHECK_EQ(result.completed, result.dispatched);
   DIMSUM_CHECK_EQ(result.arrivals,
                   result.dispatched + result.shed + result.aborted +
-                      static_cast<int64_t>(state.pending.size()));
+                      static_cast<int64_t>(loop.pending.size()));
   // Pending arrivals that never got a slot before the run drained count as
   // aborted (they were admitted but never executed).
-  result.aborted += static_cast<int64_t>(state.pending.size());
-  if (state.collect_log) {
-    for (const OpenLoopState::PendingArrival& p : state.pending) {
-      state.aborted_log.push_back(
-          {p.arrival_ms, session.sim().now(), ClientSite(p.client_index)});
-    }
+  result.aborted += static_cast<int64_t>(loop.pending.size());
+  for (const OpenLoop::PendingArrival& p : loop.pending) {
+    loop.LogRejected(loop.aborted_log, "aborted", p.arrival_ms,
+                     p.client_index);
   }
 
-  result.totals = session.Totals();
-  const int total = session.submitted();
-  result.per_query.reserve(total);
-  for (int t = 0; t < total; ++t) {
-    result.per_query.push_back(session.Metrics(t));
+  const SideFolds side = core.Fold(result);
+  result.completions.reserve(core.completions().size());
+  for (const Completion& c : core.completions()) {
+    result.completions.push_back(
+        OpenLoopCompletion{c.ticket, c.client, core.ticket(c.ticket).issue_ms,
+                           c.submit_ms, c.complete_ms});
   }
-  result.makespan_ms =
-      result.completions.empty() ? 0.0 : result.completions.back().complete_ms;
-  if (session_config.collect_operator_actuals) {
-    std::map<const Plan*, std::vector<SiteId>> op_sites;
-    BottleneckAccumulator acc;
-    for (const OpenLoopCompletion& c : result.completions) {
-      const Plan* p = state.submitted[c.ticket];
-      auto [it, inserted] = op_sites.try_emplace(p);
-      if (inserted) it->second = OperatorSites(*p);
-      acc.Add(it->second, result.per_query[c.ticket]);
-    }
-    result.bottleneck = acc.Finish(result.totals, result.makespan_ms);
-  }
-  if (openloop.collect_query_log) {
-    const std::string policy = openloop.policy_label.empty()
-                                   ? ToString(openloop.replica_policy)
-                                   : openloop.policy_label;
-    PlanLogCache plans(catalog, config.params.page_bytes);
-    result.query_log.reserve(result.completions.size() +
-                             state.aborted_log.size() +
-                             state.shed_log.size());
-    for (const OpenLoopCompletion& c : result.completions) {
-      QueryLogRecord record;
-      record.policy = policy;
-      record.ticket = c.ticket;
-      record.client = c.client;
-      const Plan& plan = *state.submitted[c.ticket];
-      record.plan_signature = plans.Signature(plan);
-      record.fanout = plans.Fanout(plan);
-      record.issue_ms = c.arrival_ms;
-      record.submit_ms = c.submit_ms;
-      record.complete_ms = c.complete_ms;
-      record.response_ms = c.complete_ms - c.arrival_ms;
-      FillResourceTotals(result.per_query[c.ticket], record);
-      const sim::QuerySpans* spans = session.Spans(c.ticket);
-      DIMSUM_CHECK(spans != nullptr);
-      record.path = ExtractCriticalPath(*spans);
-      // The admission wait (arrival -> dispatch) precedes execution; with
-      // it the segments tile [arrival, complete], so they sum to the
-      // open-loop response time.
-      if (c.submit_ms > c.arrival_ms) {
-        record.path.segments.insert(
-            record.path.segments.begin(),
-            PathSegment{PathKind::kAdmission, true, kUnboundSite,
-                        c.submit_ms - c.arrival_ms});
-      }
-      record.path.total_ms = record.response_ms;
-      result.query_log.push_back(std::move(record));
-    }
-    auto rejected = [&](const OpenLoopState::Rejected& r,
-                        const char* outcome) {
-      QueryLogRecord record;
-      record.policy = policy;
-      record.client = r.client;
-      record.outcome = outcome;
-      record.issue_ms = r.arrival_ms;
-      record.submit_ms = r.reject_ms;
-      record.complete_ms = r.reject_ms;
-      record.response_ms = r.reject_ms - r.arrival_ms;
-      record.path.total_ms = record.response_ms;
-      if (record.response_ms > 0.0) {
-        record.path.segments.push_back(PathSegment{
-            PathKind::kAdmission, true, kUnboundSite, record.response_ms});
-      }
-      result.query_log.push_back(std::move(record));
-    };
-    for (const OpenLoopState::Rejected& r : state.aborted_log) {
-      rejected(r, "aborted");
-    }
-    for (const OpenLoopState::Rejected& r : state.shed_log) {
-      rejected(r, "shed");
-    }
+  result.mean_queue_wait_ms = side.queue_wait_ms.mean();
+  for (std::vector<QueryLogRecord>* log : {&loop.aborted_log, &loop.shed_log}) {
+    std::move(log->begin(), log->end(), std::back_inserter(result.query_log));
   }
   result.offered_qps = result.arrivals / openloop.duration_ms * 1000.0;
-  result.processed_events = session.sim().processed_events();
-  result.peak_event_queue_depth = session.sim().peak_queue_depth();
-
-  // Steady-state estimation over post-warmup completions, mirroring the
-  // closed-loop batch-means method. Response time runs arrival to
-  // completion, so admission-queue waits are part of the figure.
-  const int completed = static_cast<int>(result.completions.size());
-  const int warmup = std::min(openloop.warmup_completions, completed);
-  result.warmup_end_ms =
-      warmup > 0 ? result.completions[warmup - 1].complete_ms : 0.0;
-  result.measured = completed - warmup;
-  const double window_ms = result.makespan_ms - result.warmup_end_ms;
-  result.throughput_qps =
-      window_ms > 0.0 ? result.measured / window_ms * 1000.0 : 0.0;
-  const int batch_size = std::max(1, result.measured / openloop.num_batches);
-  RunningStat overall;
-  RunningStat queue_wait;
-  RunningStat batch;
-  int in_batch = 0;
-  int batches_done = 0;
-  for (int i = warmup; i < completed; ++i) {
-    const OpenLoopCompletion& c = result.completions[i];
-    const double response_ms = c.complete_ms - c.arrival_ms;
-    overall.Add(response_ms);
-    queue_wait.Add(c.submit_ms - c.arrival_ms);
-    batch.Add(response_ms);
-    ++in_batch;
-    const bool last_batch = batches_done + 1 >= openloop.num_batches;
-    if (in_batch >= batch_size && !last_batch) {
-      result.batch_means.Add(batch.mean());
-      batch = RunningStat();
-      in_batch = 0;
-      ++batches_done;
-    }
-  }
-  if (in_batch > 0) result.batch_means.Add(batch.mean());
-  result.mean_response_ms = overall.mean();
-  result.mean_queue_wait_ms = queue_wait.mean();
-  result.response_ci90_ms = result.batch_means.count() >= 2
-                                ? result.batch_means.ConfidenceHalfWidth90()
-                                : 0.0;
+  result.processed_events = core.sim().processed_events();
+  result.peak_event_queue_depth = core.sim().peak_queue_depth();
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (registry.enabled()) {
     registry.counter("driver.arrivals").Add(result.arrivals);
     registry.counter("driver.dispatched").Add(result.dispatched);
-    registry.counter("driver.completions").Add(result.completed);
     registry.counter("driver.shed").Add(result.shed);
     registry.counter("driver.aborted").Add(result.aborted);
     Gauge& peak = registry.gauge("driver.peak_pending");

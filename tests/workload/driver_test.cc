@@ -1,5 +1,6 @@
 #include "workload/driver.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,54 @@ TEST(DriverDeathTest, MisboundPlanFails) {
                               ClientWorkload{&plan, &q1}},
                              catalog, config, driver),
                "displays elsewhere");
+}
+
+/// One client, one relation pair: the smallest valid closed-loop input.
+struct SingleClient {
+  Catalog catalog = MultiClientCatalog(1, 2);
+  QueryGraph query = QueryGraph::Chain({0, 1});
+  SystemConfig config;
+  Plan plan = QsJoin(0, 1);
+  DriverConfig driver;
+
+  SingleClient() {
+    config.num_servers = 1;
+    BindSites(plan, catalog);
+    driver.queries_per_client = 3;
+  }
+  DriverResult Run() const {
+    return RunClosedLoop({ClientWorkload{&plan, &query}}, catalog, config,
+                         driver);
+  }
+};
+
+TEST(DriverDeathTest, NegativeWarmupFails) {
+  // A negative warmup would start the estimator before the first
+  // completion.
+  SingleClient run;
+  run.driver.warmup_queries = -1;
+  EXPECT_DEATH(run.Run(), "warmup must be non-negative");
+}
+
+TEST(DriverDeathTest, NonFiniteTimingsNameTheField) {
+  // Rejected at entry, not as a NaN delay deep in the kernel.
+  SingleClient think;
+  think.driver.think_time_mean_ms = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(think.Run(), "think_time_mean_ms must be finite");
+  SingleClient timeout;
+  timeout.driver.retry.detect_timeout_ms =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(timeout.Run(), "retry.detect_timeout_ms must be finite");
+  SingleClient backoff;
+  backoff.driver.retry.backoff_base_ms =
+      std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(backoff.Run(), "retry.backoff_base_ms must be finite");
+  SingleClient mult;
+  mult.driver.retry.backoff_mult = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(mult.Run(), "retry.backoff_mult must be finite");
+  SingleClient cap;
+  cap.driver.retry.backoff_cap_ms = -1.0;
+  EXPECT_DEATH(cap.Run(), "retry.backoff_cap_ms must be finite and >= 0");
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,41 @@ TEST(OpenLoopTest, RoundRobinSpreadsArrivalsOverClients) {
   const int lo = std::min({per_client[0], per_client[1], per_client[2]});
   const int hi = std::max({per_client[0], per_client[1], per_client[2]});
   EXPECT_LE(hi - lo, 1);
+}
+
+TEST(OpenLoopDeathTest, NonFiniteTimingsNameTheField) {
+  // An infinite window or rate would keep the arrival generator from ever
+  // returning; each is rejected at entry with the field's name.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Workload w = ScanWorkload(2, /*cached=*/true);
+  const auto run = [&w](const OpenLoopConfig& openloop) {
+    return RunOpenLoop(w.clients, w.catalog, w.config, openloop);
+  };
+  OpenLoopConfig duration = PoissonConfig(20.0, kInf);
+  duration.admission.max_in_flight = 1;
+  duration.admission.max_pending = 1;
+  EXPECT_DEATH(run(duration), "duration_ms must be finite");
+  EXPECT_DEATH(run(PoissonConfig(kInf, 1'000.0)),
+               "arrival.rate_per_sec must be finite");
+  OpenLoopConfig bursty = PoissonConfig(20.0, 1'000.0);
+  bursty.arrival.kind = ArrivalKind::kBursty;
+  bursty.arrival.burst_on_mean_ms = kInf;
+  EXPECT_DEATH(run(bursty), "arrival.burst_on_mean_ms must be finite");
+  bursty.arrival.burst_on_mean_ms = 200.0;
+  bursty.arrival.burst_off_mean_ms = kInf;
+  EXPECT_DEATH(run(bursty), "arrival.burst_off_mean_ms must be finite");
+  OpenLoopConfig diurnal = PoissonConfig(20.0, 1'000.0);
+  diurnal.arrival.kind = ArrivalKind::kDiurnal;
+  diurnal.arrival.diurnal_period_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(run(diurnal), "arrival.diurnal_period_ms must be finite");
+}
+
+TEST(OpenLoopDeathTest, NegativeWarmupFails) {
+  Workload w = ScanWorkload(2, /*cached=*/true);
+  OpenLoopConfig openloop = PoissonConfig(20.0, 1'000.0);
+  openloop.warmup_completions = -1;
+  EXPECT_DEATH(RunOpenLoop(w.clients, w.catalog, w.config, openloop),
+               "warmup must be non-negative");
 }
 
 }  // namespace
