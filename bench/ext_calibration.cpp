@@ -73,9 +73,6 @@ Point RunConfig(int relations, ShippingPolicy policy, double cached) {
   SystemConfig config;
   config.num_servers = kServers;
   config.params.buf_alloc = BufAlloc::kMinimum;
-  // Pure observation (clock reads + accumulation): execution results are
-  // bit-identical with or without collection.
-  config.collect_operator_actuals = true;
   config.collect_histograms = MetricsRegistry::Global().enabled();
 
   ClientServerSystem system(std::move(workload.catalog), config);

@@ -83,9 +83,6 @@ Point RunConfig(const std::string& policy, double rate_qps,
   config.num_servers = 1;
   config.params.buf_alloc = BufAlloc::kMaximum;
   config.collect_histograms = MetricsRegistry::Global().enabled();
-  // Per-operator actuals feed the run-level bottleneck attribution
-  // (OpenLoopResult::bottleneck) that explains each cell's knee.
-  config.collect_operator_actuals = true;
 
   std::vector<Plan> plans;
   std::vector<QueryGraph> queries;

@@ -115,9 +115,6 @@ Point RunConfig(const Shape& shape, double rate_qps, double duration_ms,
   config.params.num_disks = 2;
   config.params.buf_alloc = BufAlloc::kMaximum;
   config.collect_histograms = MetricsRegistry::Global().enabled();
-  // Per-operator actuals feed the run-level bottleneck attribution that
-  // quantifies where queueing lands (the acceptance comparison).
-  config.collect_operator_actuals = true;
 
   std::vector<Plan> plans;
   std::vector<QueryGraph> queries;

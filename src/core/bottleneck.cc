@@ -150,8 +150,7 @@ std::vector<SiteId> OperatorSites(const Plan& plan) {
 BottleneckReport BuildBottleneck(const std::vector<SiteId>& op_sites,
                                  const ExecMetrics& metrics) {
   DIMSUM_CHECK_EQ(op_sites.size(), metrics.operator_actuals.size())
-      << "op_sites must align with operator_actuals (same bound plan, "
-         "collect_operator_actuals set)";
+      << "op_sites must align with operator_actuals (same bound plan)";
   std::vector<std::pair<std::pair<BottleneckResource, SiteId>, double>>
       elapsed;
   AccumulateActuals(op_sites, metrics.operator_actuals, &elapsed);
@@ -176,8 +175,8 @@ void BottleneckAccumulator::Accumulate(Key key, double ms) {
 
 void BottleneckAccumulator::Add(const std::vector<SiteId>& op_sites,
                                 const ExecMetrics& metrics) {
-  // Misaligned actuals (e.g. the query ran a recovery re-planned tree, or
-  // actuals were not collected) cannot be attributed; skip the query.
+  // Misaligned actuals (op_sites of a plan other than the one that ran)
+  // cannot be attributed; skip the query.
   if (metrics.operator_actuals.empty() ||
       metrics.operator_actuals.size() != op_sites.size()) {
     return;

@@ -80,10 +80,10 @@ struct BottleneckReport {
 std::vector<SiteId> OperatorSites(const Plan& plan);
 
 /// Builds the per-query report. `op_sites` must align with
-/// `metrics.operator_actuals` (run with collect_operator_actuals on the
-/// same bound plan). The queueing/service split uses the per-site busy
-/// maps in `metrics` when present (single-query runs populate them); when
-/// absent the full elapsed time is conservatively reported as service.
+/// `metrics.operator_actuals` (the execution ran the same bound plan). The
+/// queueing/service split uses the per-site busy maps in `metrics` when
+/// present (single-query runs populate them); when absent the full elapsed
+/// time is conservatively reported as service.
 BottleneckReport BuildBottleneck(const std::vector<SiteId>& op_sites,
                                  const ExecMetrics& metrics);
 

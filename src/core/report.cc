@@ -104,8 +104,8 @@ double ExplainRelErr(double est, double act) {
 ExplainReport BuildExplainReport(const PlanEstimate& est,
                                  const ExecMetrics& actual) {
   DIMSUM_CHECK_EQ(actual.operator_actuals.size(), est.ops.size())
-      << "explain: run with SystemConfig::collect_operator_actuals on the "
-         "same bound plan that was costed";
+      << "explain: the execution must run the same bound plan that was "
+         "costed";
   ExplainReport report;
   report.est_response_ms = est.response_ms;
   report.act_response_ms = actual.response_ms;

@@ -123,8 +123,7 @@ struct ExplainReport {
 };
 
 /// Joins the two sides. `actual.operator_actuals` must have one record per
-/// estimate op (run with SystemConfig::collect_operator_actuals set on the
-/// same bound plan that was costed).
+/// estimate op (the execution ran the same bound plan that was costed).
 ExplainReport BuildExplainReport(const PlanEstimate& est,
                                  const ExecMetrics& actual);
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,18 +37,14 @@ struct ExecSession::QueryState {
   PlanStats stats;
   ExecMetrics metrics;
   std::unique_ptr<ExecContext> ctx;
-  /// Pre-order plan-node ids for EXPLAIN actuals; populated when the
-  /// session collects operator actuals or spans (spans reuse the numbering
-  /// as their timeline ids).
-  std::unordered_map<const PlanNode*, int> op_ids;
   /// Causal span set (SystemConfig::collect_spans only). Owned here, not
   /// by ExecMetrics, so metrics stay bit-identical with capture on or off.
   std::unique_ptr<sim::QuerySpans> spans;
-  /// Channel endpoint registry for span capture: channel address ->
-  /// (producer timeline, consumer timeline). Net operator pairs get
-  /// synthetic timelines past the plan-node ids.
-  std::unordered_map<const void*, std::pair<int, int>> channel_ends;
-  int next_span_op = 0;
+  /// Next operator timeline ids: BuildNode numbers plan operators in
+  /// pre-order on entry (the display root is 0) and the net send/recv
+  /// halves of each crossing edge past them, as the edge is built.
+  int next_op = 0;
+  int next_net_op = 0;
   double start_ms = 0.0;
   bool done = false;
   std::vector<std::coroutine_handle<>> waiters;
@@ -107,20 +102,14 @@ int ExecSession::Submit(const Plan& plan, const QueryGraph& query) {
   state->ctx->start_ms = state->start_ms;
   state->ctx->faults = fault_state_.get();
   state->ctx->fault_tolerance = &config_.fault_tolerance;
-  if (config_.collect_operator_actuals || config_.collect_spans) {
-    int next_id = 0;
-    plan.ForEach(
-        [&](const PlanNode& node) { state->op_ids.emplace(&node, next_id++); });
-    state->metrics.operator_actuals.resize(next_id);
-    state->ctx->op_ids = &state->op_ids;
-    if (config_.collect_spans) {
-      state->spans = std::make_unique<sim::QuerySpans>();
-      state->spans->start_ms = state->start_ms;
-      state->spans->root_op = 0;  // pre-order: the display root
-      state->next_span_op = next_id;
-      state->ctx->spans = state->spans.get();
-      state->ctx->channel_ends = &state->channel_ends;
-    }
+  const int num_plan_ops = plan.Size();
+  state->metrics.operator_actuals.resize(num_plan_ops);
+  state->next_op = 1;  // the display root is 0
+  state->next_net_op = num_plan_ops;
+  if (config_.collect_spans) {
+    state->spans = std::make_unique<sim::QuerySpans>();
+    state->spans->start_ms = state->start_ms;
+    state->ctx->spans = state->spans.get();
   }
   QueryState* raw = state.get();
   state->ctx->on_done = [this, raw] {
@@ -134,9 +123,10 @@ int ExecSession::Submit(const Plan& plan, const QueryGraph& query) {
     raw->waiters.clear();
   };
   queries_.push_back(std::move(state));
-  PageChannel& result = BuildNode(*raw, *plan.root()->left, *plan.root());
-  if (raw->spans != nullptr) raw->spans->num_ops = raw->next_span_op;
-  sim_.Spawn(DisplayProcess(*raw->ctx, *plan.root(), result));
+  PageChannel& result =
+      BuildNode(*raw, *plan.root()->left, /*consumer=*/0, home);
+  if (raw->spans != nullptr) raw->spans->num_ops = raw->next_net_op;
+  sim_.Spawn(DisplayProcess(*raw->ctx, *plan.root(), /*op=*/0, result));
   return ticket;
 }
 
@@ -291,7 +281,7 @@ BatchTotals ExecSession::Totals() {
 /// Registers the trace layout -- one trace process per site plus one for
 /// the shared network, one thread per CPU/disk/link -- and attaches the
 /// sink to the simulator. Operators allocate their own tracks at spawn
-/// time (see OpSpan in operators.cc).
+/// time (see OpProbe in operators.cc).
 void ExecSession::AttachTrace(sim::TraceSink& trace) {
   sim_.set_trace(&trace);
   for (int s = 0; s < system_.num_sites(); ++s) {
@@ -380,84 +370,80 @@ PageChannel& ExecSession::NewChannel() {
 }
 
 /// Spawns the processes computing `node`; returns the channel delivering
-/// its output at `consumer`'s site.
+/// its output at the consumer's site. `consumer` is the consuming
+/// operator's timeline id and `consumer_site` its site. Entered in
+/// pre-order, so each node takes the next plan-operator id on entry -- the
+/// numbering of Plan::ForEach.
 PageChannel& ExecSession::BuildNode(QueryState& state, const PlanNode& node,
-                                    const PlanNode& consumer) {
+                                    int consumer, SiteId consumer_site) {
   ExecContext& ctx = *state.ctx;
+  const int op = state.next_op++;
   PageChannel& out = NewChannel();
+  out.producer = op;
   switch (node.type) {
     case OpType::kScan:
-      sim_.Spawn(ScanProcess(ctx, node, out));
+      sim_.Spawn(ScanProcess(ctx, node, op, out));
       break;
     case OpType::kSelect: {
-      PageChannel& in = BuildNode(state, *node.left, node);
-      sim_.Spawn(SelectProcess(ctx, node, in, out));
+      PageChannel& in = BuildNode(state, *node.left, op, node.bound_site);
+      sim_.Spawn(SelectProcess(ctx, node, op, in, out));
       break;
     }
     case OpType::kProject: {
-      PageChannel& in = BuildNode(state, *node.left, node);
-      sim_.Spawn(ProjectProcess(ctx, node, in, out));
+      PageChannel& in = BuildNode(state, *node.left, op, node.bound_site);
+      sim_.Spawn(ProjectProcess(ctx, node, op, in, out));
       break;
     }
     case OpType::kAggregate: {
-      PageChannel& in = BuildNode(state, *node.left, node);
-      sim_.Spawn(AggregateProcess(ctx, node, in, out));
+      PageChannel& in = BuildNode(state, *node.left, op, node.bound_site);
+      sim_.Spawn(AggregateProcess(ctx, node, op, in, out));
       break;
     }
     case OpType::kSort: {
-      PageChannel& in = BuildNode(state, *node.left, node);
-      sim_.Spawn(SortProcess(ctx, node, in, out));
+      PageChannel& in = BuildNode(state, *node.left, op, node.bound_site);
+      sim_.Spawn(SortProcess(ctx, node, op, in, out));
       break;
     }
     case OpType::kUnion: {
-      PageChannel& l = BuildNode(state, *node.left, node);
-      PageChannel& r = BuildNode(state, *node.right, node);
-      sim_.Spawn(UnionProcess(ctx, node, l, r, out));
+      PageChannel& l = BuildNode(state, *node.left, op, node.bound_site);
+      PageChannel& r = BuildNode(state, *node.right, op, node.bound_site);
+      sim_.Spawn(UnionProcess(ctx, node, op, l, r, out));
       break;
     }
     case OpType::kJoin: {
-      PageChannel& inner = BuildNode(state, *node.left, node);
-      PageChannel& outer = BuildNode(state, *node.right, node);
-      sim_.Spawn(HashJoinProcess(ctx, node, inner, outer, out));
+      PageChannel& inner = BuildNode(state, *node.left, op, node.bound_site);
+      PageChannel& outer = BuildNode(state, *node.right, op, node.bound_site);
+      sim_.Spawn(HashJoinProcess(ctx, node, op, inner, outer, out));
       break;
     }
     case OpType::kDisplay:
       DIMSUM_UNREACHABLE() << "display is handled by Submit()";
   }
-  const bool spans_on = state.spans != nullptr;
-  if (node.bound_site == consumer.bound_site) {
-    if (spans_on) {
-      state.channel_ends.emplace(
-          &out, std::make_pair(state.op_ids.at(&node),
-                               state.op_ids.at(&consumer)));
-    }
+  if (node.bound_site == consumer_site) {
+    out.consumer = consumer;
     return out;
   }
   // Crossing edge: insert the network operator pair. Its time is
   // attributed to the consuming operator's EXPLAIN record, matching the
-  // estimator's accounting of shipped edges. For span capture, each half
-  // gets its own synthetic timeline past the plan-node ids, so the
-  // producer -> send -> recv -> consumer chain carries causal edges.
+  // estimator's accounting of shipped edges. Each half gets its own
+  // synthetic timeline past the plan-node ids, so the producer -> send ->
+  // recv -> consumer chain carries causal edges.
   PageChannel& wire = NewChannel();
   PageChannel& delivered = NewChannel();
-  OperatorActual* actual = ctx.Actual(consumer);
-  int send_op = -1, recv_op = -1;
+  const int send_op = state.next_net_op++;
+  const int recv_op = state.next_net_op++;
+  out.consumer = send_op;
+  wire.producer = send_op;
+  wire.consumer = recv_op;
+  delivered.producer = recv_op;
+  delivered.consumer = consumer;
   // One flow-id block per crossing edge (4096 pages before ids recycle);
   // ids are session counters, never pointers, so traces are deterministic.
   const uint64_t flow_base = ++next_flow_base_ << 12;
-  if (spans_on) {
-    send_op = state.next_span_op++;
-    recv_op = state.next_span_op++;
-    state.channel_ends.emplace(
-        &out, std::make_pair(state.op_ids.at(&node), send_op));
-    state.channel_ends.emplace(&wire, std::make_pair(send_op, recv_op));
-    state.channel_ends.emplace(
-        &delivered, std::make_pair(recv_op, state.op_ids.at(&consumer)));
-  }
-  sim_.Spawn(NetSendProcess(ctx, node.bound_site, out, wire, actual, send_op,
-                            flow_base));
-  sim_.Spawn(NetRecvProcess(ctx, consumer.bound_site, wire, delivered, actual,
-                            recv_op, flow_base));
+  sim_.Spawn(NetSendProcess(ctx, node.bound_site, out, wire, send_op,
+                            consumer, flow_base));
+  sim_.Spawn(NetRecvProcess(ctx, consumer_site, wire, delivered, recv_op,
+                            consumer, flow_base));
   return delivered;
 }
 

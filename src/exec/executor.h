@@ -186,7 +186,7 @@ class ExecSession {
   void AddWaiter(int ticket, std::coroutine_handle<> handle);
   PageChannel& NewChannel();
   PageChannel& BuildNode(QueryState& state, const PlanNode& node,
-                         const PlanNode& consumer);
+                         int consumer, SiteId consumer_site);
   void AttachTrace(sim::TraceSink& trace);
   void AttachHistograms();
   void AttachTelemetry(sim::TelemetrySampler& telemetry);

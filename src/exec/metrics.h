@@ -27,15 +27,14 @@ struct DiskDetail {
   int max_queue_depth = 0;
 };
 
-/// Per-operator measured attribution for EXPLAIN ANALYZE, collected when
-/// SystemConfig::collect_operator_actuals is set. The times are elapsed
+/// Per-operator measured attribution for EXPLAIN ANALYZE and bottleneck
+/// attribution, collected on every run. The times are elapsed
 /// virtual time the operator spent awaiting each resource class, so they
 /// include queueing behind other users of that resource -- they attribute
 /// where the operator's lifetime went, the measured counterpart of the
 /// estimate's per-resource demand (cost/explain.h). Channel waits
 /// (pipeline backpressure) are excluded. Collection is pure observation:
-/// clock reads and double accumulation only, never a simulation event, so
-/// results are bit-identical with it on or off.
+/// clock reads and double accumulation only, never a simulation event.
 struct OperatorActual {
   double cpu_ms = 0.0;
   double disk_ms = 0.0;
@@ -92,9 +91,9 @@ struct ExecMetrics {
   int64_t retransmitted_bytes = 0;
 
   /// Per-operator actuals indexed by the plan node's pre-order id (display
-  /// root is 0). Empty unless SystemConfig::collect_operator_actuals; the
-  /// net operator pairs inserted on site-crossing edges attribute into the
-  /// consuming operator's record, mirroring the estimator's accounting.
+  /// root is 0), one per plan node; the net operator pairs inserted on
+  /// site-crossing edges attribute into the consuming operator's record,
+  /// mirroring the estimator's accounting.
   std::vector<OperatorActual> operator_actuals;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -11,40 +13,98 @@
 namespace dimsum {
 namespace {
 
-/// Per-operator trace span. At process start it allocates the operator its
-/// own track within its site's trace process; End() records one complete
-/// span over the operator's lifetime, and Phase() records sub-spans (hash
-/// join build/probe/partition). Every method is a no-op while no TraceSink
-/// is attached to the simulator, so untraced runs pay one null check per
-/// operator, not per page.
-class OpSpan {
+/// The one per-operator probe, built once per operator process. Every
+/// timed window [t0, now] goes through its single record path, which adds
+/// the window to the operator's OperatorActual (cpu/disk/net; memory and
+/// channel waits are span-only) and, when the query captures spans,
+/// appends a causal span on the operator's timeline (sim/span.h). With a
+/// TraceSink attached it also owns the operator's Perfetto track: Phase()
+/// sub-slices, Flow() arrows and the whole-lifetime slice Finish() closes;
+/// untraced runs pay one null check per operator, not per page. Every
+/// method is a read of the simulation clock plus memory writes -- never a
+/// simulation event -- so capture cannot perturb event ordering (results
+/// are bit-identical with spans or a trace on or off). A window's elapsed
+/// time includes queueing behind the awaited resource; that is
+/// intentional (see OperatorActual). The queueing vs service split inside
+/// a window comes from the ReqStats out-pointer (Req()) threaded into the
+/// awaited resource call(s): service accumulates across the window's
+/// requests and the remainder is queueing.
+class OpProbe {
  public:
-  OpSpan(ExecContext& ctx, SiteId site, std::string name)
-      : sim_(ctx.sim), trace_(ctx.sim.trace()), pid_(site),
-        name_(std::move(name)) {
+  /// A plan operator: timeline `op`, charging its own record.
+  OpProbe(ExecContext& ctx, SiteId site, int op, std::string name)
+      : OpProbe(ctx, site, op, op, std::move(name)) {}
+
+  /// `op` is the process's timeline id and `actual` the id of the
+  /// OperatorActual it charges. A plan operator charges its own record and
+  /// claims its start and end; a net send/recv half (synthetic timeline
+  /// past the plan operators) charges its consumer's record, mirroring the
+  /// estimator's accounting of shipped edges, and claims neither. `site` is
+  /// the operator's trace process and the default site its spans are
+  /// attributed to (the remote-read paths override it per call).
+  OpProbe(ExecContext& ctx, SiteId site, int op, int actual, std::string name)
+      : ctx_(ctx),
+        actual_(ctx.metrics.operator_actuals[actual]),
+        spans_(ctx.spans),
+        trace_(ctx.sim.trace()),
+        site_(site),
+        op_(op),
+        owns_actual_(op == actual),
+        start_ms_(ctx.sim.now()) {
+    if (owns_actual_) actual_.start_ms = start_ms_;
     if (trace_ != nullptr) {
-      tid_ = trace_->NewTrack(pid_, name_);
-      t0_ = sim_.now();
+      name_ = std::move(name);
+      tid_ = trace_->NewTrack(site_, name_);
     }
   }
 
-  double now() const { return sim_.now(); }
+  double now() const { return ctx_.sim.now(); }
 
-  /// A sub-span [begin_ms, now] nested inside the operator's span.
+  /// Opens a timed window: returns its start and resets the request stats.
+  double Mark() {
+    req_ = {};
+    return now();
+  }
+  /// Request-stats out-pointer for the resource request(s) awaited inside
+  /// the current Mark() window; null when span capture is off.
+  sim::ReqStats* Req() { return spans_ != nullptr ? &req_ : nullptr; }
+
+  void Cpu(double t0) { CpuAt(t0, site_); }
+  void CpuAt(double t0, SiteId site) { Record(sim::SpanKind::kCpu, t0, site); }
+  void Disk(double t0) { DiskAt(t0, site_); }
+  void DiskAt(double t0, SiteId site) {
+    Record(sim::SpanKind::kDisk, t0, site);
+  }
+  void Net(double t0) { Record(sim::SpanKind::kNet, t0, /*site=*/-1); }
+  /// Records the wait for buffer-pool frames acquired over [t0, now].
+  void MemoryWait(double t0) { Record(sim::SpanKind::kMemory, t0, site_); }
+  /// Records the time blocked on a channel Put since `t0` (causal edge to
+  /// the channel's consumer) / Get (edge to the producer).
+  void PutWait(double t0, const PageChannel& ch) {
+    Record(sim::SpanKind::kChannel, t0, /*site=*/-1, ch.consumer);
+  }
+  void GetWait(double t0, const PageChannel& ch) {
+    Record(sim::SpanKind::kChannel, t0, /*site=*/-1, ch.producer);
+  }
+  /// Charges a crash-window stall of `ms` ending now, to the query's
+  /// fault_stall_ms as well. The stall is added as given rather than as
+  /// now - (now - ms), which need not round back to it.
+  void Stall(double ms) {
+    ctx_.metrics.fault_stall_ms += ms;
+    actual_.stall_ms += ms;
+    if (spans_ != nullptr && ms > 0.0) {
+      const double t = now();
+      spans_->spans.push_back(
+          {op_, t - ms, t, sim::SpanKind::kFaultStall, 0.0, site_, -1});
+    }
+  }
+
+  /// A trace sub-slice [begin_ms, now] nested inside the operator's slice.
   void Phase(std::string label, double begin_ms,
              std::vector<sim::TraceSink::Arg> args = {}) {
     if (trace_ != nullptr) {
-      trace_->Complete(pid_, tid_, std::move(label), "phase", begin_ms,
-                       sim_.now(), std::move(args));
-    }
-  }
-
-  /// The operator's whole-lifetime span; call once, when the operator is
-  /// done (coroutines have no reliable RAII point after final suspend).
-  void End(std::vector<sim::TraceSink::Arg> args = {}) {
-    if (trace_ != nullptr) {
-      trace_->Complete(pid_, tid_, name_, "operator", t0_, sim_.now(),
-                       std::move(args));
+      trace_->Complete(site_, tid_, std::move(label), "phase", begin_ms,
+                       now(), std::move(args));
     }
   }
 
@@ -53,133 +113,69 @@ class OpSpan {
   void Flow(bool start, uint64_t id) {
     if (trace_ == nullptr) return;
     if (start) {
-      trace_->FlowStart(pid_, tid_, "page", "channel", sim_.now(), id);
+      trace_->FlowStart(site_, tid_, "page", "channel", now(), id);
     } else {
-      trace_->FlowEnd(pid_, tid_, "page", "channel", sim_.now(), id);
+      trace_->FlowEnd(site_, tid_, "page", "channel", now(), id);
     }
+  }
+
+  /// Closes the operator, once, when it is done (coroutines have no
+  /// reliable RAII point after final suspend): the owned actual's page
+  /// counts and end time, and the whole-lifetime trace slice. The slice's
+  /// args are the page counts the operator reports (a source has no
+  /// pages_in, a sink no pages_out), then `extra`.
+  void Finish(std::optional<int64_t> pages_in,
+              std::optional<int64_t> pages_out,
+              std::vector<sim::TraceSink::Arg> extra = {}) {
+    if (owns_actual_) {
+      actual_.pages_in = pages_in.value_or(0);
+      actual_.pages_out = pages_out.value_or(0);
+      actual_.end_ms = now();
+    }
+    if (trace_ == nullptr) return;
+    std::vector<sim::TraceSink::Arg> args;
+    if (pages_in) args.push_back({"pages_in", static_cast<double>(*pages_in)});
+    if (pages_out) {
+      args.push_back({"pages_out", static_cast<double>(*pages_out)});
+    }
+    args.insert(args.end(), extra.begin(), extra.end());
+    trace_->Complete(site_, tid_, std::move(name_), "operator", start_ms_,
+                     now(), std::move(args));
   }
 
  private:
-  sim::Simulator& sim_;
-  sim::TraceSink* trace_;
-  int pid_;
-  int tid_ = 0;
-  double t0_ = 0.0;
-  std::string name_;
-};
-
-/// Accumulates one operator's elapsed virtual time at each resource class
-/// into its EXPLAIN record, and (when span capture is on) records each
-/// Mark()..accumulate window as a causal span on the operator's timeline
-/// (sim/span.h). Every method is a pure read of the simulation clock plus
-/// memory writes -- never a simulation event -- and a no-op when neither
-/// record is attached, so collection cannot perturb event ordering
-/// (results are bit-identical with it on or off). The elapsed time between
-/// Mark() and the accumulate call includes queueing behind the awaited
-/// resource; that is intentional (see OperatorActual). The queueing vs
-/// service split inside a window comes from the ReqStats out-pointer
-/// (Req()) threaded into the awaited resource call(s): service accumulates
-/// across the window's requests and the remainder is queueing.
-class ActualProbe {
- public:
-  /// `owns_span` is false for the net operator pair, which accumulates
-  /// into its consumer's record without claiming its start/end times.
-  /// `site` is the default site spans are attributed to (the remote-read
-  /// paths override it per call); `span_op` the process's span timeline id
-  /// (-1 disables span capture for this probe).
-  ActualProbe(ExecContext& ctx, OperatorActual* act, SiteId site, int span_op,
-              bool owns_span = true)
-      : sim_(ctx.sim),
-        act_(act),
-        spans_(span_op >= 0 ? ctx.spans : nullptr),
-        ends_(ctx.channel_ends),
-        site_(site),
-        op_(span_op) {
-    if (act_ != nullptr && owns_span) act_->start_ms = sim_.now();
-  }
-
-  double Mark() {
-    if (act_ == nullptr && spans_ == nullptr) return 0.0;
-    req_ = {};
-    return sim_.now();
-  }
-  /// Request-stats out-pointer for the resource request(s) awaited inside
-  /// the current Mark() window; null when span capture is off.
-  sim::ReqStats* Req() { return spans_ != nullptr ? &req_ : nullptr; }
-
-  void Cpu(double t0) { CpuAt(t0, site_); }
-  void CpuAt(double t0, SiteId site) {
-    const double now = sim_.now();
-    if (act_ != nullptr) act_->cpu_ms += now - t0;
-    Record(sim::SpanKind::kCpu, t0, now, site);
-  }
-  void Disk(double t0) { DiskAt(t0, site_); }
-  void DiskAt(double t0, SiteId site) {
-    const double now = sim_.now();
-    if (act_ != nullptr) act_->disk_ms += now - t0;
-    Record(sim::SpanKind::kDisk, t0, now, site);
-  }
-  void Net(double t0) {
-    const double now = sim_.now();
-    if (act_ != nullptr) act_->net_ms += now - t0;
-    Record(sim::SpanKind::kNet, t0, now, /*site=*/-1);
-  }
-  void Stall(double ms) {
-    if (act_ != nullptr) act_->stall_ms += ms;
-    if (spans_ != nullptr && ms > 0.0) {
-      const double now = sim_.now();
-      spans_->spans.push_back(
-          {op_, now - ms, now, sim::SpanKind::kFaultStall, 0.0, site_, -1});
+  /// The one record path: charges [t0, now] to the actual's bucket for
+  /// `kind` and appends the span when the query captures spans.
+  void Record(sim::SpanKind kind, double t0, SiteId site, int peer = -1) {
+    const double t = now();
+    switch (kind) {
+      case sim::SpanKind::kCpu:
+        actual_.cpu_ms += t - t0;
+        break;
+      case sim::SpanKind::kDisk:
+        actual_.disk_ms += t - t0;
+        break;
+      case sim::SpanKind::kNet:
+        actual_.net_ms += t - t0;
+        break;
+      default:
+        break;  // memory and channel waits have no actuals bucket
+    }
+    if (spans_ != nullptr && t > t0) {
+      spans_->spans.push_back({op_, t0, t, kind, req_.service_ms, site, peer});
     }
   }
-  /// Records the wait for buffer-pool frames acquired over [t0, now].
-  void MemoryWait(double t0) {
-    if (spans_ == nullptr) return;
-    const double now = sim_.now();
-    if (now > t0) {
-      spans_->spans.push_back(
-          {op_, t0, now, sim::SpanKind::kMemory, 0.0, site_, -1});
-    }
-  }
-  /// Records the time blocked on a channel Put since `t0` (causal edge to
-  /// the channel's consumer) / Get (edge to the producer).
-  void PutWait(double t0, const PageChannel& ch) { Chan(t0, ch, true); }
-  void GetWait(double t0, const PageChannel& ch) { Chan(t0, ch, false); }
 
-  void Finish(int64_t pages_in, int64_t pages_out) {
-    if (act_ == nullptr) return;
-    act_->pages_in = pages_in;
-    act_->pages_out = pages_out;
-    act_->end_ms = sim_.now();
-  }
-
- private:
-  void Record(sim::SpanKind kind, double t0, double now, SiteId site) {
-    if (spans_ == nullptr || now <= t0) return;
-    spans_->spans.push_back(
-        {op_, t0, now, kind, req_.service_ms, site, -1});
-  }
-  void Chan(double t0, const PageChannel& ch, bool put) {
-    if (spans_ == nullptr) return;
-    const double now = sim_.now();
-    if (now <= t0) return;
-    int peer = -1;
-    if (ends_ != nullptr) {
-      auto it = ends_->find(static_cast<const void*>(&ch));
-      if (it != ends_->end()) {
-        peer = put ? it->second.second : it->second.first;
-      }
-    }
-    spans_->spans.push_back(
-        {op_, t0, now, sim::SpanKind::kChannel, 0.0, /*site=*/-1, peer});
-  }
-
-  sim::Simulator& sim_;
-  OperatorActual* act_;
+  ExecContext& ctx_;
+  OperatorActual& actual_;
   sim::QuerySpans* spans_;
-  const std::unordered_map<const void*, std::pair<int, int>>* ends_;
+  sim::TraceSink* trace_;
   SiteId site_;
   int op_;
+  bool owns_actual_;
+  int tid_ = 0;
+  double start_ms_;
+  std::string name_;
   sim::ReqStats req_{};
 };
 
@@ -187,7 +183,7 @@ class ActualProbe {
 /// result construction at `site`; returns the number of pages emitted.
 sim::Task<int64_t> EmitFullPages(SiteRuntime& site, OutputAccumulator& acc,
                                  double move_ms_per_tuple, PageChannel& out,
-                                 ActualProbe& probe) {
+                                 OpProbe& probe) {
   int64_t pages = 0;
   while (acc.HasFullPage()) {
     Page page = acc.PopFullPage();
@@ -204,7 +200,7 @@ sim::Task<int64_t> EmitFullPages(SiteRuntime& site, OutputAccumulator& acc,
 
 sim::Task<int64_t> EmitRemainder(SiteRuntime& site, OutputAccumulator& acc,
                                  double move_ms_per_tuple, PageChannel& out,
-                                 ActualProbe& probe) {
+                                 OpProbe& probe) {
   int64_t pages =
       co_await EmitFullPages(site, acc, move_ms_per_tuple, out, probe);
   if (acc.HasRemainder()) {
@@ -263,7 +259,7 @@ sim::Task<void> FaultyTransfer(ExecContext& ctx, int64_t bytes,
 
 }  // namespace
 
-sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& out) {
   const Relation& rel = ctx.catalog.relation(node.relation);
   const int64_t tuples_per_page = rel.TuplesPerPage(ctx.params.page_bytes);
@@ -296,8 +292,7 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
     return restricted ? uniform_tuples : tuples_on_page(index);
   };
 
-  OpSpan span(ctx, node.bound_site, "scan " + rel.name);
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "scan " + rel.name);
 
   if (node.annotation == SiteAnnotation::kPrimaryCopy) {
     SiteRuntime& server = ctx.system.site(node.bound_site);
@@ -308,9 +303,7 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
             : ctx.system.RelationExtent(node.bound_site, node.relation);
     for (int64_t i = 0; i < total_pages; ++i) {
       if (ctx.faults != nullptr) {
-        const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-        ctx.metrics.fault_stall_ms += stalled;
-        probe.Stall(stalled);
+        probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
       }
       double t0 = probe.Mark();
       co_await server.cpu.Use(disk_cpu, probe.Req());
@@ -323,8 +316,7 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
       probe.PutWait(t0, out);
     }
     out.Close();
-    probe.Finish(0, total_pages);
-    span.End({{"pages_out", static_cast<double>(total_pages)}});
+    probe.Finish(std::nullopt, total_pages);
     co_return;
   }
 
@@ -362,9 +354,7 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
       for (int64_t i = 0; i < shard_pages; ++i) {
         ++faulted;
         if (ctx.faults != nullptr) {
-          const double stalled = co_await AwaitSiteUp(ctx, server.id);
-          ctx.metrics.fault_stall_ms += stalled;
-          probe.Stall(stalled);
+          probe.Stall(co_await AwaitSiteUp(ctx, server.id));
         }
         double t0 = probe.Mark();
         co_await client.cpu.Use(request_cpu, probe.Req());
@@ -409,9 +399,8 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
       }
     }
     out.Close();
-    probe.Finish(0, read_pages);
-    span.End({{"pages_out", static_cast<double>(read_pages)},
-              {"pages_faulted", static_cast<double>(faulted)}});
+    probe.Finish(std::nullopt, read_pages,
+                 {{"pages_faulted", static_cast<double>(faulted)}});
     co_return;
   }
 
@@ -442,9 +431,7 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
       // Page fault: request to the server, server disk read, page back.
       // A crashed server stalls the fault-in until its restart.
       if (ctx.faults != nullptr) {
-        const double stalled = co_await AwaitSiteUp(ctx, server.id);
-        ctx.metrics.fault_stall_ms += stalled;
-        probe.Stall(stalled);
+        probe.Stall(co_await AwaitSiteUp(ctx, server.id));
       }
       double t0 = probe.Mark();
       co_await client.cpu.Use(request_cpu, probe.Req());
@@ -490,12 +477,11 @@ sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
     probe.PutWait(tq, out);
   }
   out.Close();
-  probe.Finish(0, total_pages);
-  span.End({{"pages_out", static_cast<double>(total_pages)},
-            {"pages_faulted", static_cast<double>(faulted)}});
+  probe.Finish(std::nullopt, total_pages,
+               {{"pages_faulted", static_cast<double>(faulted)}});
 }
 
-sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node, int op,
                            PageChannel& in, PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& out_stats = ctx.stats.at(&node);
@@ -504,8 +490,7 @@ sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node,
   OutputAccumulator acc(tuples_per_page);
   const double compare = ctx.params.InstrMs(ctx.params.compare_inst);
   const double move = ctx.params.MoveTupleMs(out_stats.tuple_bytes);
-  OpSpan span(ctx, node.bound_site, "select");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "select");
   int64_t pages_in = 0, pages_out = 0;
   while (true) {
     double t0 = probe.Mark();
@@ -522,11 +507,9 @@ sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node,
   pages_out += co_await EmitRemainder(site, acc, move, out, probe);
   out.Close();
   probe.Finish(pages_in, pages_out);
-  span.End({{"pages_in", static_cast<double>(pages_in)},
-            {"pages_out", static_cast<double>(pages_out)}});
 }
 
-sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in, PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& out_stats = ctx.stats.at(&node);
@@ -534,8 +517,7 @@ sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node,
       std::max<int64_t>(1, ctx.params.page_bytes / out_stats.tuple_bytes);
   OutputAccumulator acc(tuples_per_page);
   const double move = ctx.params.MoveTupleMs(out_stats.tuple_bytes);
-  OpSpan span(ctx, node.bound_site, "project");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "project");
   int64_t pages_in = 0, pages_out = 0;
   while (true) {
     const double t0 = probe.Mark();
@@ -549,18 +531,15 @@ sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node,
   pages_out += co_await EmitRemainder(site, acc, move, out, probe);
   out.Close();
   probe.Finish(pages_in, pages_out);
-  span.End({{"pages_in", static_cast<double>(pages_in)},
-            {"pages_out", static_cast<double>(pages_out)}});
 }
 
 sim::Process AggregateProcess(ExecContext& ctx, const PlanNode& node,
-                              PageChannel& in, PageChannel& out) {
+                              int op, PageChannel& in, PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& out_stats = ctx.stats.at(&node);
   const double hash = ctx.params.InstrMs(ctx.params.hash_inst);
   const double compare = ctx.params.InstrMs(ctx.params.compare_inst);
-  OpSpan span(ctx, node.bound_site, "aggregate");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "aggregate");
   int64_t pages_in = 0;
   // Blocking phase: hash every input tuple into the group table.
   while (true) {
@@ -582,11 +561,9 @@ sim::Process AggregateProcess(ExecContext& ctx, const PlanNode& node,
   const int64_t pages_out = co_await EmitRemainder(site, acc, move, out, probe);
   out.Close();
   probe.Finish(pages_in, pages_out);
-  span.End({{"pages_in", static_cast<double>(pages_in)},
-            {"pages_out", static_cast<double>(pages_out)}});
 }
 
-sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SortProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& in, PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& in_stats = ctx.stats.at(node.left.get());
@@ -609,8 +586,7 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
              : std::max<int64_t>(1, in_stats.pages);
   const double mem_t0 = ctx.sim.now();
   co_await site.memory.Acquire(frames);
-  OpSpan span(ctx, node.bound_site, "sort");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "sort");
   probe.MemoryWait(mem_t0);
   int64_t pages_in = 0, pages_out = 0;
 
@@ -620,7 +596,7 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
     runs = site.AllocateTempOn(0, in_stats.pages + 2);
   }
   // Run-generation phase: consume the input, sort, spill runs.
-  const double run_start = span.now();
+  const double run_start = probe.now();
   while (true) {
     double t0 = probe.Mark();
     std::optional<Page> page = co_await in.Get();
@@ -632,9 +608,7 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
     probe.Cpu(t0);
     if (spills) {
       if (ctx.faults != nullptr) {
-        const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-        ctx.metrics.fault_stall_ms += stalled;
-        probe.Stall(stalled);
+        probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
       }
       t0 = probe.Mark();
       co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -649,10 +623,10 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
     co_await site.disk(runs.disk).Flush();
     probe.Disk(t0);
   }
-  span.Phase("run-generation", run_start,
+  probe.Phase("run-generation", run_start,
              {{"run_pages", static_cast<double>(run_pages)}});
   // Merge/output phase: read the runs back and emit sorted pages.
-  const double merge_start = span.now();
+  const double merge_start = probe.now();
   const int64_t tuples_per_page =
       std::max<int64_t>(1, ctx.params.page_bytes / out_stats.tuple_bytes);
   OutputAccumulator acc(tuples_per_page);
@@ -660,9 +634,7 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
   if (spills) {
     for (int64_t i = 0; i < run_pages; ++i) {
       if (ctx.faults != nullptr) {
-        const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-        ctx.metrics.fault_stall_ms += stalled;
-        probe.Stall(stalled);
+        probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
       }
       double t0 = probe.Mark();
       co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -679,21 +651,18 @@ sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
   }
   pages_out += co_await EmitRemainder(site, acc, move, out, probe);
   out.Close();
+  probe.Phase("merge", merge_start);
   probe.Finish(pages_in, pages_out);
-  span.Phase("merge", merge_start);
-  span.End({{"pages_in", static_cast<double>(pages_in)},
-            {"pages_out", static_cast<double>(pages_out)}});
   site.memory.Release(frames);
 }
 
-sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node, int op,
                           PageChannel& left, PageChannel& right,
                           PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& out_stats = ctx.stats.at(&node);
   const double move = ctx.params.MoveTupleMs(out_stats.tuple_bytes);
-  OpSpan span(ctx, node.bound_site, "union");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "union");
   int64_t pages = 0;
   for (PageChannel* input : {&left, &right}) {
     while (true) {
@@ -712,12 +681,10 @@ sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
   }
   out.Close();
   probe.Finish(pages, pages);
-  span.End({{"pages_in", static_cast<double>(pages)},
-            {"pages_out", static_cast<double>(pages)}});
 }
 
 sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
-                             PageChannel& inner, PageChannel& outer,
+                             int op, PageChannel& inner, PageChannel& outer,
                              PageChannel& out) {
   SiteRuntime& site = ctx.system.site(node.bound_site);
   const StreamStats& inner_stats = ctx.stats.at(node.left.get());
@@ -734,8 +701,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
 
   const double mem_t0 = ctx.sim.now();
   co_await site.memory.Acquire(hj.memory_frames);
-  OpSpan span(ctx, node.bound_site, "join");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "join");
   probe.MemoryWait(mem_t0);
   int64_t pages_in = 0, pages_out = 0;
 
@@ -758,7 +724,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
   }
 
   // --- build phase: consume the inner input -----------------------------
-  const double build_start = span.now();
+  const double build_start = probe.now();
   double spill_acc = 0.0;  // fractional pages destined for temp storage
   int next_partition = 0;
   while (true) {
@@ -777,9 +743,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
         const int p = next_partition;
         next_partition = (next_partition + 1) % partitions;
         if (ctx.faults != nullptr) {
-          const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-          ctx.metrics.fault_stall_ms += stalled;
-          probe.Stall(stalled);
+          probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
         }
         t0 = probe.Mark();
         co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -798,11 +762,11 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
     }
     probe.Disk(t0);
   }
-  span.Phase("build", build_start,
+  probe.Phase("build", build_start,
              {{"spilled_pages", static_cast<double>(inner_spill_total)}});
 
   // --- probe phase: stream the outer input ------------------------------
-  const double probe_start = span.now();
+  const double probe_start = probe.now();
   const int64_t out_tuples_per_page =
       std::max<int64_t>(1, ctx.params.page_bytes / out_stats.tuple_bytes);
   OutputAccumulator acc(out_tuples_per_page);
@@ -832,9 +796,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
         const int p = next_partition;
         next_partition = (next_partition + 1) % partitions;
         if (ctx.faults != nullptr) {
-          const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-          ctx.metrics.fault_stall_ms += stalled;
-          probe.Stall(stalled);
+          probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
         }
         t0 = probe.Mark();
         co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -847,12 +809,12 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
     }
   }
 
-  span.Phase("probe", probe_start,
+  probe.Phase("probe", probe_start,
              {{"spilled_pages", static_cast<double>(outer_spill_total)}});
 
   // --- partition phase: join the spilled partition pairs ----------------
   if (!hj.in_memory()) {
-    const double partition_start = span.now();
+    const double partition_start = probe.now();
     double t0 = probe.Mark();
     for (int d = 0; d < site.num_disks(); ++d) {
       co_await site.disk(d).Flush();
@@ -868,9 +830,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
       // Rebuild the hash table from the spilled inner partition.
       for (int64_t i = 0; i < inner_written[p]; ++i) {
         if (ctx.faults != nullptr) {
-          const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-          ctx.metrics.fault_stall_ms += stalled;
-          probe.Stall(stalled);
+          probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
         }
         t0 = probe.Mark();
         co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -888,9 +848,7 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
       // Probe with the spilled outer partition.
       for (int64_t i = 0; i < outer_written[p]; ++i) {
         if (ctx.faults != nullptr) {
-          const double stalled = co_await AwaitSiteUp(ctx, node.bound_site);
-          ctx.metrics.fault_stall_ms += stalled;
-          probe.Stall(stalled);
+          probe.Stall(co_await AwaitSiteUp(ctx, node.bound_site));
         }
         t0 = probe.Mark();
         co_await site.cpu.Use(disk_cpu, probe.Req());
@@ -908,24 +866,21 @@ sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
       acc.Add(spilled_out_total / partitions);
       pages_out += co_await EmitFullPages(site, acc, move_out, out, probe);
     }
-    span.Phase("partition", partition_start,
+    probe.Phase("partition", partition_start,
                {{"partitions", static_cast<double>(partitions)}});
   }
 
   pages_out += co_await EmitRemainder(site, acc, move_out, out, probe);
   out.Close();
   probe.Finish(pages_in, pages_out);
-  span.End({{"pages_in", static_cast<double>(pages_in)},
-            {"pages_out", static_cast<double>(pages_out)}});
   site.memory.Release(hj.memory_frames);
 }
 
-sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in) {
   SiteRuntime& client = ctx.system.site(node.bound_site);
   const double display = ctx.params.InstrMs(ctx.params.display_inst);
-  OpSpan span(ctx, node.bound_site, "display");
-  ActualProbe probe(ctx, ctx.Actual(node), node.bound_site, ctx.SpanOp(node));
+  OpProbe probe(ctx, node.bound_site, op, "display");
   int64_t pages = 0;
   while (true) {
     double t0 = probe.Mark();
@@ -937,8 +892,7 @@ sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node,
     co_await client.cpu.Use(display * page->tuples, probe.Req());
     probe.Cpu(t0);
   }
-  probe.Finish(pages, 0);
-  span.End({{"pages_in", static_cast<double>(pages)}});
+  probe.Finish(pages, std::nullopt);
   ctx.metrics.response_ms = ctx.sim.now() - ctx.start_ms;
   ctx.query_done = true;
   if (ctx.batch_remaining != nullptr && --*ctx.batch_remaining == 0 &&
@@ -949,12 +903,11 @@ sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node,
 }
 
 sim::Process NetSendProcess(ExecContext& ctx, SiteId from, PageChannel& in,
-                            PageChannel& wire, OperatorActual* actual,
-                            int span_op, uint64_t flow_base) {
+                            PageChannel& wire, int op, int actual,
+                            uint64_t flow_base) {
   SiteRuntime& site = ctx.system.site(from);
   const double page_cpu = ctx.params.MsgCpuMs(ctx.params.page_bytes);
-  OpSpan span(ctx, from, "ship-send");
-  ActualProbe probe(ctx, actual, from, span_op, /*owns_span=*/false);
+  OpProbe probe(ctx, from, op, actual, "ship-send");
   int64_t pages = 0;
   uint64_t flow_seq = 0;
   while (true) {
@@ -964,9 +917,7 @@ sim::Process NetSendProcess(ExecContext& ctx, SiteId from, PageChannel& in,
     if (!page.has_value()) break;
     ++pages;
     if (ctx.faults != nullptr) {
-      const double stalled = co_await AwaitSiteUp(ctx, from);
-      ctx.metrics.fault_stall_ms += stalled;
-      probe.Stall(stalled);
+      probe.Stall(co_await AwaitSiteUp(ctx, from));
     }
     t0 = probe.Mark();
     co_await site.cpu.Use(page_cpu, probe.Req());
@@ -982,22 +933,21 @@ sim::Process NetSendProcess(ExecContext& ctx, SiteId from, PageChannel& in,
     ++ctx.metrics.data_pages_sent;
     ++ctx.metrics.messages;
     ctx.metrics.bytes_sent += ctx.params.page_bytes;
-    span.Flow(true, flow_base + flow_seq++);
+    probe.Flow(true, flow_base + flow_seq++);
     t0 = probe.Mark();
     co_await wire.Put(*page);
     probe.PutWait(t0, wire);
   }
   wire.Close();
-  span.End({{"pages_out", static_cast<double>(pages)}});
+  probe.Finish(std::nullopt, pages);
 }
 
 sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, PageChannel& wire,
-                            PageChannel& out, OperatorActual* actual,
-                            int span_op, uint64_t flow_base) {
+                            PageChannel& out, int op, int actual,
+                            uint64_t flow_base) {
   SiteRuntime& site = ctx.system.site(to);
   const double page_cpu = ctx.params.MsgCpuMs(ctx.params.page_bytes);
-  OpSpan span(ctx, to, "ship-recv");
-  ActualProbe probe(ctx, actual, to, span_op, /*owns_span=*/false);
+  OpProbe probe(ctx, to, op, actual, "ship-recv");
   int64_t pages = 0;
   uint64_t flow_seq = 0;
   while (true) {
@@ -1008,11 +958,9 @@ sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, PageChannel& wire,
     ++pages;
     // Pages cross the wire in FIFO order, so the n-th receipt pairs with
     // the n-th send on this channel.
-    span.Flow(false, flow_base + flow_seq++);
+    probe.Flow(false, flow_base + flow_seq++);
     if (ctx.faults != nullptr) {
-      const double stalled = co_await AwaitSiteUp(ctx, to);
-      ctx.metrics.fault_stall_ms += stalled;
-      probe.Stall(stalled);
+      probe.Stall(co_await AwaitSiteUp(ctx, to));
     }
     t0 = probe.Mark();
     co_await site.cpu.Use(page_cpu, probe.Req());
@@ -1022,7 +970,7 @@ sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, PageChannel& wire,
     probe.PutWait(t0, out);
   }
   out.Close();
-  span.End({{"pages_in", static_cast<double>(pages)}});
+  probe.Finish(pages, std::nullopt);
 }
 
 sim::Process LoadGeneratorProcess(sim::Simulator& sim, SiteRuntime& site,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "catalog/catalog.h"
 #include "common/rng.h"
@@ -19,7 +18,16 @@
 
 namespace dimsum {
 
-using PageChannel = sim::Channel<Page>;
+/// A pipeline edge: a page channel plus the timeline ids of the operator
+/// processes at its two ends, the causal wake edges of span capture.
+/// Operator timelines are numbered by the executor as it builds the
+/// pipeline (plan operators in pre-order, display root 0; net send/recv
+/// halves get synthetic ids past them).
+struct PageChannel : sim::Channel<Page> {
+  using sim::Channel<Page>::Channel;
+  int producer = -1;
+  int consumer = -1;
+};
 
 /// Shared state of one query execution, referenced by all operator
 /// processes. Owned by the executor; must outlive the simulation run.
@@ -54,32 +62,14 @@ struct ExecContext {
   /// `faults` is non-null).
   const FaultTolerance* fault_tolerance = nullptr;
 
-  /// Pre-order plan-node ids, set (with metrics.operator_actuals sized to
-  /// match) only when the session collects per-operator actuals for
-  /// EXPLAIN ANALYZE.
-  const std::unordered_map<const PlanNode*, int>* op_ids = nullptr;
-
-  /// The operator's actuals record, or null when collection is off.
-  OperatorActual* Actual(const PlanNode& node) const {
-    return op_ids != nullptr ? &metrics.operator_actuals[op_ids->at(&node)]
-                             : nullptr;
-  }
-
   /// Per-query causal span set (null = capture off; see sim/span.h). Owned
   /// by the session's per-query state, never by ExecMetrics, so metrics
   /// stay bit-identical with capture on or off.
   sim::QuerySpans* spans = nullptr;
-  /// Channel endpoint registry for span capture: channel address ->
-  /// (producer timeline id, consumer timeline id). Built by the executor
-  /// alongside the operator pipeline; null when capture is off.
-  const std::unordered_map<const void*, std::pair<int, int>>* channel_ends =
-      nullptr;
-
-  /// The operator's span-timeline id, or -1 when capture is off.
-  int SpanOp(const PlanNode& node) const {
-    return spans != nullptr && op_ids != nullptr ? op_ids->at(&node) : -1;
-  }
 };
+
+// Each plan-operator process below takes its timeline id `op`, which
+// also indexes its record in ExecMetrics::operator_actuals.
 
 /// Scan of a base relation (Volcano-style, page at a time).
 ///
@@ -88,32 +78,32 @@ struct ExecContext {
 /// remaining pages are faulted in from the relation's server with one
 /// synchronous request/response round trip per page (the paper's
 /// non-overlapped page faulting).
-sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ScanProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& out);
 
 /// Applies the node's predicate; charges Compare per input tuple.
-sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SelectProcess(ExecContext& ctx, const PlanNode& node, int op,
                            PageChannel& in, PageChannel& out);
 
 /// Projects tuples to a narrower width; charges a move per output tuple.
-sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process ProjectProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in, PageChannel& out);
 
 /// Hash aggregation: consumes its whole input (blocking), then emits the
 /// groups. Charges Hash + Compare per input tuple and a move per group.
 sim::Process AggregateProcess(ExecContext& ctx, const PlanNode& node,
-                              PageChannel& in, PageChannel& out);
+                              int op, PageChannel& in, PageChannel& out);
 
 /// External merge sort: consumes its whole input (blocking). Under
 /// minimum allocation, sorted runs are written to the site's temp region
 /// and merged back in a single pass; under maximum allocation the sort
 /// happens in memory. Charges Compare * log2(n) per tuple plus a move per
 /// output tuple.
-sim::Process SortProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process SortProcess(ExecContext& ctx, const PlanNode& node, int op,
                          PageChannel& in, PageChannel& out);
 
 /// Bag union: forwards the left input, then the right.
-sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node, int op,
                           PageChannel& left, PageChannel& right,
                           PageChannel& out);
 
@@ -124,32 +114,30 @@ sim::Process UnionProcess(ExecContext& ctx, const PlanNode& node,
 /// joins the spilled partition pairs. Memory is acquired from the site's
 /// buffer pool for the duration.
 sim::Process HashJoinProcess(ExecContext& ctx, const PlanNode& node,
-                             PageChannel& inner, PageChannel& outer,
+                             int op, PageChannel& inner, PageChannel& outer,
                              PageChannel& out);
 
 /// Root operator: consumes the result at the client, charges Display per
 /// tuple, records the response time, and flags query completion.
-sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node,
+sim::Process DisplayProcess(ExecContext& ctx, const PlanNode& node, int op,
                             PageChannel& in);
 
 /// Sending half of the network operator pair: charges send CPU at `from`,
 /// occupies the wire, counts the page, and forwards it. With capacity-1
 /// channels the producer stays about one page ahead of its consumer.
-/// `actual` (optional) is the consuming operator's EXPLAIN record; ship
-/// CPU and wire time accumulate there, mirroring the estimator.
-/// `span_op` is the send process's own span timeline (synthetic id past the
-/// plan operators; -1 when capture is off) and `flow_base` seeds the ids of
-/// the Perfetto flow arrows linking this sender's pages to the receiver.
+/// `op` is the send process's own timeline (a synthetic id past the plan
+/// operators) and `actual` the consuming operator's id: ship CPU and wire
+/// time accumulate in its record, mirroring the estimator. `flow_base`
+/// seeds the ids of the Perfetto flow arrows linking this sender's pages
+/// to the receiver.
 sim::Process NetSendProcess(ExecContext& ctx, SiteId from, PageChannel& in,
-                            PageChannel& wire,
-                            OperatorActual* actual = nullptr,
-                            int span_op = -1, uint64_t flow_base = 0);
+                            PageChannel& wire, int op, int actual,
+                            uint64_t flow_base);
 
 /// Receiving half: charges receive CPU at `to` and forwards the page.
 sim::Process NetRecvProcess(ExecContext& ctx, SiteId to, PageChannel& wire,
-                            PageChannel& out,
-                            OperatorActual* actual = nullptr,
-                            int span_op = -1, uint64_t flow_base = 0);
+                            PageChannel& out, int op, int actual,
+                            uint64_t flow_base);
 
 /// External load: open-loop Poisson random single-page reads against a
 /// server's disks (the paper's model of additional clients), winding down

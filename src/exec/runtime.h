@@ -70,18 +70,15 @@ struct SystemConfig {
   /// Collect disk service-time and network queueing-delay histograms into
   /// ExecMetrics (off by default: one Histogram::Add per arm op/message).
   bool collect_histograms = false;
-  /// Collect per-operator actuals (ExecMetrics::operator_actuals, indexed
-  /// by pre-order plan-node id) for EXPLAIN ANALYZE. Pure observation --
-  /// clock reads and accumulation only -- so results are bit-identical
-  /// with this on or off (asserted by tests).
-  bool collect_operator_actuals = false;
   /// Collect per-query causal spans (resource queueing/service splits,
   /// channel waits, fault stalls) into ExecSession per-ticket span sets for
-  /// critical-path extraction (core/critical_path.h). Implies the pre-order
-  /// operator numbering of collect_operator_actuals. Pure observation --
-  /// clock reads and memory writes at existing handoff points -- so
-  /// results are bit-identical with this on or off (asserted by tests; see
-  /// DESIGN.md §9).
+  /// critical-path extraction (core/critical_path.h), on the operator
+  /// timelines ExecMetrics::operator_actuals is indexed by. The one opt-in
+  /// capture: per-operator actuals are always collected, but a span per
+  /// timed window costs host time and memory that long workload runs
+  /// cannot pay (DESIGN.md §8). Pure observation -- clock reads and memory
+  /// writes at existing handoff points -- so results are bit-identical
+  /// with this on or off (asserted by tests; see DESIGN.md §9).
   bool collect_spans = false;
   /// When non-null, the executor attaches this virtual-time utilization
   /// sampler to its simulator and registers per-site CPU/disk/link and

@@ -91,16 +91,6 @@ class PlanCache {
   std::unordered_map<const Plan*, Facts> facts_;
 };
 
-/// Folds a query's per-operator elapsed totals into its record.
-void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
-  for (const OperatorActual& actual : metrics.operator_actuals) {
-    record.cpu_elapsed_ms += actual.cpu_ms;
-    record.disk_elapsed_ms += actual.disk_ms;
-    record.net_elapsed_ms += actual.net_ms;
-    record.stall_elapsed_ms += actual.stall_ms;
-  }
-}
-
 double HalfWidth90(const RunningStat& stat) {
   return stat.count() >= 2 ? stat.ConfidenceHalfWidth90() : 0.0;
 }
@@ -286,9 +276,8 @@ enum class Source { kClosedLoop, kOpenLoop };
 /// What the core records about one submitted query.
 struct TicketRecord {
   SiteId client = kUnboundSite;
-  /// Plan the ticket is attributed against: the balanced variant when one
-  /// was submitted, otherwise the client's original plan (so recovery
-  /// re-planned tickets keep their skip-on-misalignment attribution).
+  /// Plan the ticket ran and is attributed against: the client's plan, its
+  /// balanced variant, or a recovery re-planned tree.
   const Plan* plan = nullptr;
   /// Closed loop: the instant the client began issuing (before crash
   /// retries). Open loop: the arrival instant.
@@ -324,11 +313,6 @@ class RunCore {
         source_(source),
         config_(config),
         run_(run),
-        // Query logging needs spans and actuals; both are pure
-        // observation, so forcing them on the session's config copy leaves
-        // results bit-identical.
-        collect_actuals_(config.collect_operator_actuals ||
-                         run.collect_query_log),
         session_(catalog, SessionConfig(config, run.collect_query_log),
                  run.seed),
         plans_(catalog, config.params.page_bytes),
@@ -360,7 +344,6 @@ class RunCore {
   struct Step {
     RunCore& core;
     int ticket;
-    const Plan* submitted;
     double submit_ms;
 
     bool await_ready() const { return core.session_.IsDone(ticket); }
@@ -383,10 +366,9 @@ class RunCore {
     const int ticket = session_.Submit(*to_submit, *work.query);
     if (balancer_ != nullptr) balancer_->OnSubmit(to_submit);
     DIMSUM_CHECK_EQ(ticket, static_cast<int>(tickets_.size()));
-    tickets_.push_back(TicketRecord{client,
-                                    to_submit != plan ? to_submit : work.plan,
-                                    issue_ms, std::move(attempts)});
-    return Step{*this, ticket, to_submit, sim().now()};
+    tickets_.push_back(
+        TicketRecord{client, to_submit, issue_ms, std::move(attempts)});
+    return Step{*this, ticket, sim().now()};
   }
 
   /// Post-run folds into the shared result fields, after session().Run().
@@ -408,7 +390,7 @@ class RunCore {
     }
     result.makespan_ms =
         completions_.empty() ? 0.0 : completions_.back().complete_ms;
-    if (collect_actuals_) FoldBottleneck(result);
+    FoldBottleneck(result);
     if (run_.collect_query_log) FoldQueryLog(result);
     FoldSteadyState(result, side);
     FoldRegistry(result.totals, side);
@@ -440,7 +422,7 @@ class RunCore {
   void Complete(const Step& step) {
     const double now = sim().now();
     if (balancer_ != nullptr) {
-      balancer_->OnComplete(step.submitted, now - step.submit_ms);
+      balancer_->OnComplete(ticket(step.ticket).plan, now - step.submit_ms);
     }
     completions_.push_back(Completion{step.ticket, ticket(step.ticket).client,
                                       step.submit_ms, now});
@@ -448,11 +430,10 @@ class RunCore {
 
   static SystemConfig SessionConfig(const SystemConfig& config,
                                     bool collect_query_log) {
+    // Query logging needs spans; capture is pure observation, so forcing
+    // it on the session's config copy leaves results bit-identical.
     SystemConfig session_config = config;
-    if (collect_query_log) {
-      session_config.collect_spans = true;
-      session_config.collect_operator_actuals = true;
-    }
+    if (collect_query_log) session_config.collect_spans = true;
     return session_config;
   }
 
@@ -588,7 +569,6 @@ class RunCore {
   const Source source_;
   const SystemConfig& config_;
   const WorkloadRunConfig& run_;
-  const bool collect_actuals_;
   ExecSession session_;
   PlanCache plans_;
   std::unique_ptr<ReplicaBalancer> balancer_;

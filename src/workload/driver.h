@@ -98,9 +98,9 @@ struct WorkloadRunConfig {
   /// Submission-time replica selection (see ReplicaPolicy).
   ReplicaPolicy replica_policy = ReplicaPolicy::kFirstCopy;
   /// Emit one wide-event record per query (WorkloadRunResult::query_log,
-  /// workload/querylog.h). Forces span and actuals collection on the run's
-  /// SystemConfig copy -- both are pure observation, so simulation results
-  /// are unchanged (bit-identical; asserted by tests).
+  /// workload/querylog.h). Forces span collection on the run's
+  /// SystemConfig copy -- pure observation, so simulation results are
+  /// unchanged (bit-identical; asserted by tests).
   bool collect_query_log = false;
   /// Policy label stamped into query-log records; empty uses
   /// ToString(replica_policy).
@@ -144,11 +144,10 @@ struct WorkloadRunResult {
   /// Time of the last completion (0 when nothing completed), ms.
   double makespan_ms = 0.0;
   /// Run-level bottleneck attribution (queueing vs service against the
-  /// run's shared resource totals), populated only when the SystemConfig
-  /// set collect_operator_actuals: names the dominant (resource, site,
-  /// queueing-vs-service) triple of the whole run. On faulted closed-loop
-  /// runs, queries that executed a recovery re-planned tree are skipped
-  /// (their actuals no longer align with the submitted plan).
+  /// run's shared resource totals): names the dominant (resource, site,
+  /// queueing-vs-service) triple of the whole run. Each query is charged
+  /// to the sites of the tree it ran (a recovery re-planned tree on
+  /// faulted closed-loop runs).
   BottleneckReport bottleneck;
   /// Wide-event records, populated only when collect_query_log is set:
   /// completed queries in global completion order, then (open loop only)

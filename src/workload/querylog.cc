@@ -27,6 +27,15 @@ std::string HexU64(uint64_t v) {
 
 }  // namespace
 
+void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record) {
+  for (const OperatorActual& actual : metrics.operator_actuals) {
+    record.cpu_elapsed_ms += actual.cpu_ms;
+    record.disk_elapsed_ms += actual.disk_ms;
+    record.net_elapsed_ms += actual.net_ms;
+    record.stall_elapsed_ms += actual.stall_ms;
+  }
+}
+
 uint64_t HashPlanSignature(const std::string& signature) {
   uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
   for (const char c : signature) {

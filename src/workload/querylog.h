@@ -19,6 +19,7 @@
 
 #include "common/ids.h"
 #include "core/critical_path.h"
+#include "exec/metrics.h"
 
 namespace dimsum {
 
@@ -75,6 +76,10 @@ struct QueryLogRecord {
   /// response_ms within accumulation error for completed queries.
   CriticalPath path;
 };
+
+/// Folds a query's per-operator elapsed totals (ExecMetrics::
+/// operator_actuals) into the record's cpu/disk/net/stall fields.
+void FillResourceTotals(const ExecMetrics& metrics, QueryLogRecord& record);
 
 /// Serializes one record as a single JSON line (no trailing newline),
 /// leading with {"schema": "dimsum.querylog.v1", ...}.

@@ -60,7 +60,6 @@ struct Joined {
 
   Joined() {
     config.num_servers = 2;
-    config.collect_operator_actuals = true;
     config.collect_histograms = true;
     BindSites(plan, catalog);
     EstimateTime(plan, catalog, query, config.params, {}, &est);

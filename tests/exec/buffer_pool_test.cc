@@ -78,24 +78,42 @@ TEST(BufferPoolDeathTest, OversizedRequestFails) {
   sim::Simulator sim;
   BufferPool pool(sim, 100);
   std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, 101, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "exceeds physical memory");
+  // Spawned inside the death statement: a process spawned here but never
+  // run would leak its frame when the simulator is destroyed.
+  EXPECT_DEATH(
+      {
+        sim.Spawn(AcquireHoldRelease(sim, pool, 101, 1.0, &acquired));
+        sim.Run();
+      },
+      "exceeds physical memory");
 }
 
 TEST(BufferPoolDeathTest, ZeroAcquireFails) {
   sim::Simulator sim;
   BufferPool pool(sim, 100);
   std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, 0, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "empty buffer acquisition");
+  // Spawned inside the death statement: a process spawned here but never
+  // run would leak its frame when the simulator is destroyed.
+  EXPECT_DEATH(
+      {
+        sim.Spawn(AcquireHoldRelease(sim, pool, 0, 1.0, &acquired));
+        sim.Run();
+      },
+      "empty buffer acquisition");
 }
 
 TEST(BufferPoolDeathTest, NegativeAcquireFails) {
   sim::Simulator sim;
   BufferPool pool(sim, 100);
   std::vector<double> acquired;
-  sim.Spawn(AcquireHoldRelease(sim, pool, -5, 1.0, &acquired));
-  EXPECT_DEATH(sim.Run(), "empty buffer acquisition");
+  // Spawned inside the death statement: a process spawned here but never
+  // run would leak its frame when the simulator is destroyed.
+  EXPECT_DEATH(
+      {
+        sim.Spawn(AcquireHoldRelease(sim, pool, -5, 1.0, &acquired));
+        sim.Run();
+      },
+      "empty buffer acquisition");
 }
 
 TEST(BufferPoolDeathTest, ZeroReleaseFails) {

@@ -78,20 +78,6 @@ void ExpectBitIdentical(const ExecMetrics& a, const ExecMetrics& b) {
   EXPECT_EQ(a.fault_stall_ms, b.fault_stall_ms);
 }
 
-TEST(ExplainExecTest, CollectionIsZeroPerturbation) {
-  TestSetup setup;
-  const ExecMetrics off =
-      ExecutePlan(setup.plan, setup.catalog, setup.query, setup.config);
-  EXPECT_TRUE(off.operator_actuals.empty());
-
-  SystemConfig with = setup.config;
-  with.collect_operator_actuals = true;
-  const ExecMetrics on =
-      ExecutePlan(setup.plan, setup.catalog, setup.query, with);
-  EXPECT_FALSE(on.operator_actuals.empty());
-  ExpectBitIdentical(off, on);
-}
-
 TEST(ExplainExecTest, CollectionComposesWithOtherObservability) {
   // Explain + trace + histograms together must still match the bare run:
   // observation layers may not interact into a perturbation.
@@ -100,7 +86,6 @@ TEST(ExplainExecTest, CollectionComposesWithOtherObservability) {
       ExecutePlan(setup.plan, setup.catalog, setup.query, setup.config);
   sim::TraceSink trace;
   SystemConfig with = setup.config;
-  with.collect_operator_actuals = true;
   with.collect_histograms = true;
   with.trace = &trace;
   const ExecMetrics on =
@@ -112,7 +97,6 @@ TEST(ExplainExecTest, CollectionComposesWithOtherObservability) {
 
 TEST(ExplainExecTest, ActualsAreInternallyConsistent) {
   TestSetup setup;
-  setup.config.collect_operator_actuals = true;
   const ExecMetrics metrics =
       ExecutePlan(setup.plan, setup.catalog, setup.query, setup.config);
 
@@ -155,7 +139,6 @@ TEST(ExplainExecTest, SessionReusePreservesPerQueryAttribution) {
   // Two submissions through one ExecSession must each get their own
   // actuals vector sized to their own plan.
   TestSetup setup;
-  setup.config.collect_operator_actuals = true;
   ExecSession session(setup.catalog, setup.config, /*seed=*/0);
   session.ExpectQueries(2);
   const int t1 = session.Submit(setup.plan, setup.query);

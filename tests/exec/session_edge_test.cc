@@ -114,6 +114,9 @@ TEST(SessionEdgeTest, SubmitBeyondExpectedDies) {
   session.Submit(plan, query);
   EXPECT_DEATH(session.Submit(plan, query),
                "more queries submitted than declared");
+  // The declared query still runs to completion (and frees its processes).
+  session.Run();
+  EXPECT_TRUE(session.IsDone(0));
 }
 
 }  // namespace

@@ -69,28 +69,50 @@ struct TestSetup {
 };
 
 TEST(SpanTest, CaptureDoesNotPerturbResults) {
+  // Plain vs spans on vs spans on with a trace attached: every metric and
+  // every per-operator actual must match bit for bit.
   TestSetup setup;
   const ExecMetrics plain =
       ExecutePlan(setup.plan, setup.catalog, setup.query, setup.config);
 
   SystemConfig instrumented = setup.config;
   instrumented.collect_spans = true;
-  instrumented.collect_operator_actuals = true;
   sim::QuerySpans spans;
   const ExecMetrics observed = ExecutePlan(setup.plan, setup.catalog,
                                            setup.query, instrumented,
                                            /*seed=*/0, &spans);
+  sim::TraceSink trace;
+  instrumented.trace = &trace;
+  const ExecMetrics traced = ExecutePlan(setup.plan, setup.catalog,
+                                         setup.query, instrumented);
 
   EXPECT_FALSE(spans.spans.empty());
-  EXPECT_EQ(plain.response_ms, observed.response_ms);
-  EXPECT_EQ(plain.data_pages_sent, observed.data_pages_sent);
-  EXPECT_EQ(plain.messages, observed.messages);
-  EXPECT_EQ(plain.bytes_sent, observed.bytes_sent);
-  EXPECT_EQ(plain.network_busy_ms, observed.network_busy_ms);
-  EXPECT_TRUE(plain.cpu_busy_ms == observed.cpu_busy_ms);
-  EXPECT_TRUE(plain.disk_busy_ms == observed.disk_busy_ms);
-  EXPECT_EQ(plain.disk.reads, observed.disk.reads);
-  EXPECT_EQ(plain.disk.cache_hits, observed.disk.cache_hits);
+  EXPECT_GT(trace.num_events(), 0u);
+  ASSERT_FALSE(plain.operator_actuals.empty());
+  for (const ExecMetrics* other : {&observed, &traced}) {
+    EXPECT_EQ(plain.response_ms, other->response_ms);
+    EXPECT_EQ(plain.data_pages_sent, other->data_pages_sent);
+    EXPECT_EQ(plain.messages, other->messages);
+    EXPECT_EQ(plain.bytes_sent, other->bytes_sent);
+    EXPECT_EQ(plain.network_busy_ms, other->network_busy_ms);
+    EXPECT_TRUE(plain.cpu_busy_ms == other->cpu_busy_ms);
+    EXPECT_TRUE(plain.disk_busy_ms == other->disk_busy_ms);
+    EXPECT_EQ(plain.disk.reads, other->disk.reads);
+    EXPECT_EQ(plain.disk.cache_hits, other->disk.cache_hits);
+    ASSERT_EQ(plain.operator_actuals.size(), other->operator_actuals.size());
+    for (std::size_t i = 0; i < plain.operator_actuals.size(); ++i) {
+      const OperatorActual& a = plain.operator_actuals[i];
+      const OperatorActual& b = other->operator_actuals[i];
+      EXPECT_EQ(a.cpu_ms, b.cpu_ms);
+      EXPECT_EQ(a.disk_ms, b.disk_ms);
+      EXPECT_EQ(a.net_ms, b.net_ms);
+      EXPECT_EQ(a.stall_ms, b.stall_ms);
+      EXPECT_EQ(a.start_ms, b.start_ms);
+      EXPECT_EQ(a.end_ms, b.end_ms);
+      EXPECT_EQ(a.pages_in, b.pages_in);
+      EXPECT_EQ(a.pages_out, b.pages_out);
+    }
+  }
 }
 
 TEST(SpanTest, TimelinesAreSerialDisjointAndInsideTheEnvelope) {
@@ -154,7 +176,6 @@ TEST(SpanTest, CriticalPathTilesResponseTime) {
 TEST(SpanTest, CriticalPathReconcilesWithOperatorActuals) {
   TestSetup setup;
   setup.config.collect_spans = true;
-  setup.config.collect_operator_actuals = true;
   sim::QuerySpans spans;
   const ExecMetrics metrics =
       ExecutePlan(setup.plan, setup.catalog, setup.query, setup.config,

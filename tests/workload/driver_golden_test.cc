@@ -351,7 +351,6 @@ std::vector<Cell> Cells() {
        [] {
          Cluster w;
          Replicated(w);
-         w.config.collect_operator_actuals = true;
          return Render(RunClosedLoop(
              w.clients, w.catalog, w.config,
              Closed(ReplicaPolicy::kRoundRobin, /*log=*/false)));
@@ -392,7 +391,6 @@ std::vector<Cell> Cells() {
        [] {
          Cluster w;
          Replicated(w);
-         w.config.collect_operator_actuals = true;
          return Render(RunOpenLoop(
              w.clients, w.catalog, w.config,
              Open(ArrivalKind::kBursty, ReplicaPolicy::kRoundRobin, false)));

@@ -7,10 +7,12 @@
 
 #include "common/thread_pool.h"
 #include "cost/cost_model.h"
+#include "opt/cost_cache.h"
 #include "opt/optimizer.h"
 #include "plan/binding.h"
 #include "plan/plan.h"
 #include "sim/fault.h"
+#include "workload/querylog.h"
 
 namespace dimsum {
 namespace {
@@ -158,6 +160,30 @@ TEST(FaultDriverTest, ShippingPoliciesDegradeAsThePaperPredicts) {
   EXPECT_GE(hy_result.throughput_qps, qs_result.throughput_qps);
   // Post-flip, hybrid runs client-side: no stalls on later queries.
   EXPECT_LT(hy_result.mean_response_ms, qs_result.mean_response_ms);
+}
+
+TEST(FaultDriverTest, ReplannedTicketsAreAttributedToTheTreeTheyRan) {
+  // 2-step re-planning keeps the join order, so the client's original
+  // plan has as many operators as the re-planned tree; the bottleneck and
+  // the query log must still charge each ticket to the tree it ran (the
+  // client-side join), not to the original plan's server.
+  FaultRun hy(/*warm_cache=*/true, /*server_plan=*/true,
+              /*reoptimize=*/true, CrashSpec());
+  hy.driver.collect_query_log = true;
+  const DriverResult result = hy.Run();
+  ASSERT_GE(result.total_reopts, 1);
+  ASSERT_FALSE(result.query_log.empty());
+  for (const QueryLogRecord& record : result.query_log) {
+    SCOPED_TRACE(record.ticket);
+    const Plan& original = hy.plans[static_cast<std::size_t>(record.client)];
+    EXPECT_NE(record.plan_signature,
+              HashPlanSignature(PlanSignature(original)));
+    EXPECT_TRUE(record.fanout.empty());
+  }
+  ASSERT_FALSE(result.bottleneck.buckets.empty());
+  for (const BottleneckBucket& bucket : result.bottleneck.buckets) {
+    EXPECT_NE(bucket.site, ServerSite(0, kClients));
+  }
 }
 
 TEST(FaultDriverTest, FaultedRunIsBitIdenticalAcrossHostThreadCounts) {

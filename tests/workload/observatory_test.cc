@@ -71,7 +71,6 @@ OpenLoopConfig PoissonConfig(double rate_qps, double duration_ms) {
 
 TEST(ObservatoryTest, ClosedLoopRollupAttributesTheRun) {
   Workload w = ScanWorkload(4, /*cached=*/false);
-  w.config.collect_operator_actuals = true;
   DriverConfig driver;
   driver.queries_per_client = 3;
   driver.think_time_mean_ms = 0.0;
@@ -95,21 +94,8 @@ TEST(ObservatoryTest, ClosedLoopRollupAttributesTheRun) {
       << summary;
 }
 
-TEST(ObservatoryTest, RollupIsEmptyWithoutOperatorActuals) {
-  Workload w = ScanWorkload(2, /*cached=*/true);
-  DriverConfig driver;
-  driver.queries_per_client = 2;
-  driver.think_time_mean_ms = 0.0;
-  driver.warmup_queries = 0;
-  const DriverResult r =
-      RunClosedLoop(w.clients, w.catalog, w.config, driver);
-  EXPECT_TRUE(r.bottleneck.empty());
-  EXPECT_EQ(r.bottleneck.Summary(), "no attributed time");
-}
-
 TEST(ObservatoryTest, OpenLoopRollupAndAdmissionGauges) {
   Workload w = ScanWorkload(4, /*cached=*/false);
-  w.config.collect_operator_actuals = true;
   sim::TelemetrySampler telemetry(5.0);
   w.config.telemetry = &telemetry;
   const OpenLoopResult r = RunOpenLoop(w.clients, w.catalog, w.config,

@@ -425,16 +425,13 @@ int RunCli(const CliOptions& options) {
     config.collect_histograms = true;
   }
   if (explain != ExplainMode::kOff) {
-    // Pure observation on both counts: histogram adds and per-operator
-    // clock reads never schedule a simulation event.
-    config.collect_operator_actuals = true;
+    // Pure observation: histogram adds never schedule a simulation event.
     config.collect_histograms = true;
   }
   if (!query_log_file.empty()) {
-    // Span capture and operator actuals are both pure observation (clock
-    // reads and memory writes only), so the run stays bit-identical.
+    // Span capture is pure observation (clock reads and memory writes
+    // only), so the run stays bit-identical.
     config.collect_spans = true;
-    config.collect_operator_actuals = true;
   }
   ClientServerSystem system(std::move(workload.catalog), config);
   auto result = system.Run(workload.query, options.policy, options.metric,
@@ -538,12 +535,7 @@ int RunCli(const CliOptions& options) {
     record.submit_ms = 0.0;
     record.complete_ms = result.execute.response_ms;
     record.response_ms = result.execute.response_ms;
-    for (const OperatorActual& actual : result.execute.operator_actuals) {
-      record.cpu_elapsed_ms += actual.cpu_ms;
-      record.disk_elapsed_ms += actual.disk_ms;
-      record.net_elapsed_ms += actual.net_ms;
-      record.stall_elapsed_ms += actual.stall_ms;
-    }
+    FillResourceTotals(result.execute, record);
     record.path = ExtractCriticalPath(result.spans);
     if (WriteQueryLogFile(query_log_file, {record})) {
       txt << (trace_file.empty() && metrics_file.empty() ? "\n" : "")
